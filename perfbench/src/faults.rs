@@ -4,13 +4,10 @@
 
 use std::time::Instant;
 
-use isl_hls::algorithms::Algorithm;
 use isl_hls::cosim::{CoSimulator, FaultCoverageReport, MaskSchedule};
 use isl_hls::prelude::*;
-use isl_hls::sim::synthetic;
 
-use crate::common::{algorithm, compile, repeated_setup, Args, OpLog, Outcome};
-use crate::mix::derive;
+use crate::common::{repeated_setup, seeded_kernels, Args, Kernel, OpLog, Outcome};
 use crate::stats;
 use crate::trace::{self, Tracer};
 
@@ -22,48 +19,11 @@ const ITERS: u32 = 2;
 const WINDOW: u32 = 8;
 const DEPTH: u32 = 2;
 const KERNELS: [&str; 3] = ["igf", "jacobi", "heat"];
-/// Seeded input sets per kernel; pass `p` runs on set `p % INPUTS`. A
-/// campaign's cost follows its detections, which follow the input, so a
-/// run's per-kernel median spans as many inputs as it has passes.
-const INPUTS: usize = 16;
-
-struct Kernel {
-    algo: Algorithm,
-    pattern: StencilPattern,
-    border: BorderMode,
-    inits: Vec<FrameSet>,
-}
-
-fn kernels(seed: u64, side: usize, names: &[&str], inputs: usize) -> Result<Vec<Kernel>, String> {
-    let mut out = Vec::new();
-    for (k, name) in names.iter().enumerate() {
-        let algo = algorithm(name)?;
-        let (pattern, border, _) = compile(&algo)?;
-        let inits = (0..inputs)
-            .map(|n| {
-                FrameSet::from_frames(
-                    (0..pattern.fields().len())
-                        .map(|i| {
-                            synthetic::noise(
-                                side,
-                                side,
-                                derive(seed, (k * 256 + n * 16 + i) as u64),
-                            )
-                        })
-                        .collect(),
-                )
-                .map_err(|e| e.to_string())
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        out.push(Kernel {
-            algo,
-            pattern,
-            border,
-            inits,
-        });
-    }
-    Ok(out)
-}
+/// Seeded input sets per kernel. Pass `p` runs every kernel on set
+/// `p % INPUTS` and a run makes at least `INPUTS` passes: a campaign's
+/// cost follows its detections, which follow the input, so every run
+/// covers the same input mix however fast the machine is.
+const INPUTS: usize = 3;
 
 fn cosim(k: &Kernel) -> Result<CoSimulator<'_>, String> {
     Ok(CoSimulator::new(&k.pattern, FixedFormat::default())
@@ -95,31 +55,32 @@ fn counts(r: &FaultCoverageReport) -> [u64; 3] {
 /// First campaign report of each (kernel, input set), at `k * inputs + i`.
 type Reports = Vec<Option<FaultCoverageReport>>;
 
-/// Complete passes over the kernels until `seconds` have passed (at least
-/// one), pass `p` on input set `p % INPUTS`. A repeated input set must
-/// repeat its counts. Returns the log and the first report of each
-/// (kernel, input set).
+/// Complete passes over the kernels until `seconds` have passed, at least
+/// one per input set, pass `p` on input set `p % inputs`. A repeated input
+/// set must repeat its counts. Latencies are logged per (kernel, input
+/// set). Returns the log and the first report of each (kernel, input set).
 fn measure(ks: &[Kernel], seconds: f64, tracer: &Tracer, out: &mut Outcome) -> (OpLog, Reports) {
-    let inputs = ks.first().map_or(0, |k| k.inits.len());
+    let inputs = ks.first().map_or(0, |k| k.inputs.len());
     let mut log = OpLog::default();
     let mut reports: Reports = vec![None; ks.len() * inputs];
     let t0 = Instant::now();
     let mut pass = 0;
-    while pass == 0 || t0.elapsed().as_secs_f64() < seconds {
+    while pass < inputs || t0.elapsed().as_secs_f64() < seconds {
+        let input = pass % inputs;
         for (k, kernel) in ks.iter().enumerate() {
             out.attempted += 1;
             let t = Instant::now();
             let result = tracer.time("cosim.campaign", kernel.algo.name, None, || {
-                campaign(kernel, &kernel.inits[pass % inputs])
+                campaign(kernel, &kernel.inputs[input])
             });
             let secs = t.elapsed().as_secs_f64();
             match result {
                 Ok(report) => {
-                    log.push(kernel.algo.name, secs);
+                    log.push(&format!("{}#{input}", kernel.algo.name), secs);
                     log.items += report.faults as f64;
-                    record(&mut reports[k * inputs + pass % inputs], report, out);
+                    record(&mut reports[k * inputs + input], report, out);
                 }
-                Err(e) => out.op_failed(e),
+                Err(e) => out.fail(e),
             }
         }
         pass += 1;
@@ -144,18 +105,19 @@ fn record(slot: &mut Option<FaultCoverageReport>, report: FaultCoverageReport, o
 /// The determinism guard's second computation: every kernel's campaign on
 /// input set 0 once more, outside the measured region.
 fn guard_pass(ks: &[Kernel], reports: &mut Reports, out: &mut Outcome) {
-    let inputs = ks.first().map_or(0, |k| k.inits.len());
+    let inputs = ks.first().map_or(0, |k| k.inputs.len());
     for (k, kernel) in ks.iter().enumerate() {
-        match campaign(kernel, &kernel.inits[0]) {
+        out.attempted += 1;
+        match campaign(kernel, &kernel.inputs[0]) {
             Ok(report) => record(&mut reports[k * inputs], report, out),
-            Err(e) => out.op_failed(e),
+            Err(e) => out.fail(e),
         }
     }
 }
 
 /// The reports on input set 0, one per kernel (every run has them).
 fn first_inputs(ks: &[Kernel], reports: &Reports) -> Vec<FaultCoverageReport> {
-    let inputs = ks.first().map_or(0, |k| k.inits.len());
+    let inputs = ks.first().map_or(0, |k| k.inputs.len());
     reports
         .iter()
         .step_by(inputs.max(1))
@@ -189,7 +151,7 @@ fn layer_metrics(
         let sim = cosim(k)?;
         tracer
             .time("cosim.replay", k.algo.name, None, || {
-                sim.run_cone_levels(&k.inits[0], ITERS, Window::square(WINDOW), DEPTH)
+                sim.run_cone_levels(&k.inputs[0], ITERS, Window::square(WINDOW), DEPTH)
             })
             .map_err(|e| format!("{}: replay: {e}", k.algo.name))?;
     }
@@ -209,24 +171,20 @@ fn layer_metrics(
 pub fn run(args: &Args) -> Result<Outcome, String> {
     let mut out = Outcome::default();
     let ks = repeated_setup(&mut out, || {
-        let ks = kernels(args.seed, SIZE, &KERNELS, INPUTS)?;
+        let ks = seeded_kernels(args.seed, &KERNELS, (SIZE, SIZE), INPUTS)?;
         // One clean co-simulation per kernel before the measured
         // campaigns.
         let mut words = Vec::new();
         for k in &ks {
             let state = cosim(k)?
-                .run_cone_levels(&k.inits[0], ITERS, Window::square(WINDOW), DEPTH)
+                .run_cone_levels(&k.inputs[0], ITERS, Window::square(WINDOW), DEPTH)
                 .map_err(|e| format!("{}: {e}", k.algo.name))?;
             words.push(state.len() as u64);
         }
         Ok((ks, words))
     })?;
 
-    let seconds = if args.trace {
-        args.seconds / 2.0
-    } else {
-        args.seconds
-    };
+    let seconds = args.measured_seconds();
     let (log, mut reports) = measure(&ks, seconds, &Tracer::new(false), &mut out);
     out.log = log;
     guard_pass(&ks, &mut reports, &mut out);
@@ -239,9 +197,9 @@ pub fn run(args: &Args) -> Result<Outcome, String> {
             r.entity, r.faults, r.detected, r.masked, r.silent, r.predicted_silent,
         );
     }
-    for (kernel, xs) in &out.log.latencies {
+    for (kind, xs) in &out.log.latencies {
         println!(
-            "fault_sweep {kernel:<7} median campaign {:.1} ms over {}",
+            "fault_sweep {kind:<9} median campaign {:.1} ms over {}",
             stats::median(xs).unwrap_or(f64::NAN) * 1e3,
             xs.len()
         );
@@ -259,7 +217,7 @@ pub fn run(args: &Args) -> Result<Outcome, String> {
 /// Campaign metrics for runs whose own workload injects no faults: one
 /// jacobi campaign on an 8×8 frame.
 pub fn tour(seed: u64, out: &mut Outcome) -> Result<(), String> {
-    let ks = kernels(seed, 8, &["jacobi"], 1)?;
+    let ks = seeded_kernels(seed, &["jacobi"], (8, 8), 1)?;
     let tracer = Tracer::new(true);
     let (_, reports) = measure(&ks, 0.0, &tracer, out);
     layer_metrics(&ks, &first_inputs(&ks, &reports), &tracer, out)

@@ -4,18 +4,19 @@
 
 use std::time::Instant;
 
-use isl_hls::algorithms::{self, Algorithm};
+use isl_hls::algorithms::Algorithm;
 use isl_hls::prelude::*;
-use isl_hls::sim::synthetic;
 use isl_hls::vhdl::{check, verify_vectors, VectorFile};
 
-use crate::common::{compile, repeated_setup, Args, OpLog, Outcome};
+use crate::common::{fnv1a, repeated_setup, seeded_kernels, Args, Kernel, OpLog, Outcome};
 use crate::layers::{self, Case};
-use crate::mix::derive;
 use crate::stats;
 use crate::trace::{self, SpanId, Tracer};
 
 pub const WHY: &str = "the paper's flow cold per built-in kernel: certification and format search do almost all the work; serve and persist do none";
+
+/// Every built-in kernel.
+const KERNELS: [&str; 6] = ["igf", "chambolle", "jacobi", "heat", "life", "sobel"];
 
 /// Side of the seeded square frames every kernel is certified on.
 pub const SIZE: usize = 32;
@@ -28,72 +29,11 @@ pub const STAGE_SPANS: [&str; 4] = [
     "core.synthesize",
 ];
 
-/// Seeded input sets per kernel. Pass `p` runs on set `p % INPUTS`, so a
-/// run's per-kernel median spans as many inputs as it has passes: the cost
-/// of a format search moves with its input (probe counts differ), and one
-/// draw per run would make runs under different seeds disagree.
-pub const INPUTS: usize = 16;
-/// Passes every run makes at least; counts and areas are reported over
-/// these input sets.
-const MIN_PASSES: usize = 4;
-
-/// One built-in kernel with its seeded frame sets.
-pub struct Kernel {
-    pub algo: Algorithm,
-    pub inits: Vec<FrameSet>,
-}
-
-/// The built-in kernels with their seeded frames.
-pub struct Inputs {
-    pub kernels: Vec<Kernel>,
-}
-
-impl Inputs {
-    /// `inputs` frame sets of `side`² noise per kernel named in `names`
-    /// (every built-in kernel when empty). Game of Life gets binary cells,
-    /// the states it is defined on.
-    pub fn new(seed: u64, side: usize, names: &[&str], inputs: usize) -> Result<Self, String> {
-        let mut kernels = Vec::new();
-        for (k, algo) in algorithms::all()
-            .into_iter()
-            .filter(|a| names.is_empty() || names.contains(&a.name))
-            .enumerate()
-        {
-            let (pattern, _, _) = compile(&algo)?;
-            let inits = (0..inputs)
-                .map(|n| {
-                    let frames = (0..pattern.fields().len())
-                        .map(|i| {
-                            let noise = synthetic::noise(
-                                side,
-                                side,
-                                derive(seed, (k * 256 + n * 16 + i) as u64),
-                            );
-                            if algo.name == "life" {
-                                Frame::from_fn(side, side, |x, y| {
-                                    if noise.get(x, y) < 0.5 {
-                                        0.0
-                                    } else {
-                                        1.0
-                                    }
-                                })
-                            } else {
-                                noise
-                            }
-                        })
-                        .collect();
-                    FrameSet::from_frames(frames).map_err(|e| e.to_string())
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            kernels.push(Kernel { algo, inits });
-        }
-        Ok(Inputs { kernels })
-    }
-
-    fn inputs(&self) -> usize {
-        self.kernels.first().map_or(0, |k| k.inits.len())
-    }
-}
+/// Seeded input sets per kernel. Pass `p` runs every kernel on set
+/// `p % INPUTS` and a run makes at least `INPUTS` passes, so every run
+/// covers the same input mix however fast the machine is: the cost of a
+/// format search moves with its input (probe counts differ).
+pub const INPUTS: usize = 4;
 
 /// The count metrics of one cold flow; equal inputs must give equal
 /// counts.
@@ -132,14 +72,39 @@ pub struct FlowRun {
     pub bundle_digest: u64,
 }
 
-fn digest(bundle: &VhdlBundle) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for (name, contents) in bundle.files() {
-        for b in name.bytes().chain([0]).chain(contents.bytes()) {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+/// Why a cold flow did not complete.
+pub enum FlowFailure {
+    /// `search_format` found no certifiable format that meets the budget
+    /// (`FlowError::Format`): a documented refusal, not a wrong answer.
+    Refused(String),
+    /// Any other error, among them a certification that caught its own
+    /// quantised run or golden vectors diverging (`FlowError::Verification`).
+    Failed(String),
+}
+
+impl FlowFailure {
+    fn record(self, out: &mut Outcome) {
+        match self {
+            FlowFailure::Refused(e) => out.refused(e),
+            FlowFailure::Failed(e) => out.fail(e),
         }
     }
-    h
+
+    fn message(self) -> String {
+        match self {
+            FlowFailure::Refused(e) | FlowFailure::Failed(e) => e,
+        }
+    }
+}
+
+fn digest(bundle: &VhdlBundle) -> u64 {
+    fnv1a(bundle.files().into_iter().flat_map(|(name, contents)| {
+        name.bytes()
+            .chain([0])
+            .chain(contents.bytes())
+            .map(u64::from)
+            .collect::<Vec<_>>()
+    }))
 }
 
 /// Run the whole flow for one kernel on a fresh session; returns the run
@@ -149,9 +114,9 @@ pub fn flow_once(
     init: &FrameSet,
     tracer: &Tracer,
     parent: Option<SpanId>,
-) -> Result<(FlowRun, VhdlBundle), String> {
+) -> Result<(FlowRun, VhdlBundle), FlowFailure> {
     let kind = algo.name;
-    let e = |stage: &str, err: FlowError| format!("{kind}: {stage}: {err}");
+    let e = |stage: &str, err: FlowError| FlowFailure::Failed(format!("{kind}: {stage}: {err}"));
     let t0 = Instant::now();
     let root = tracer.span("flow", kind, parent);
     let parent = root.id();
@@ -169,7 +134,7 @@ pub fn flow_once(
         .map_err(|err| e("explore", err))?;
     let arch = explored
         .fastest()
-        .ok_or_else(|| format!("{kind}: no feasible design point"))?
+        .ok_or_else(|| FlowFailure::Failed(format!("{kind}: no feasible design point")))?
         .arch;
     let certified = tracer
         .time("core.certify", kind, parent, || session.certify(init, arch))
@@ -187,7 +152,10 @@ pub fn flow_once(
         .time("core.search_format", kind, parent, || {
             session.search_format(&device, init, arch, budget)
         })
-        .map_err(|err| e("search_format", err))?;
+        .map_err(|err| match err {
+            FlowError::Format(_) => FlowFailure::Refused(format!("{kind}: search_format: {err}")),
+            err => e("search_format", err),
+        })?;
     let synthesized = tracer
         .time("core.synthesize", kind, parent, || {
             searched.session().certify(init, arch)?.synthesize()
@@ -219,20 +187,20 @@ pub fn flow_once(
 
 /// Every file of a bundle through the structural checker, and every
 /// shipped golden-vector file re-derived word for word.
-pub fn check_bundle(algo: &Algorithm, bundle: &VhdlBundle) -> Result<(), String> {
-    let fail = |what: &str, e: &dyn std::fmt::Display| format!("{}: {what}: {e}", algo.name);
+pub fn check_bundle(kernel: &Kernel, bundle: &VhdlBundle) -> Result<(), String> {
+    let fail = |what: &str, e: &dyn std::fmt::Display| format!("{}: {what}: {e}", kernel.algo.name);
     check::validate_package(&bundle.package).map_err(|e| fail("package", &e))?;
     check::validate(&bundle.entity).map_err(|e| fail("entity", &e))?;
     check::balance_only(&bundle.wrapper).map_err(|e| fail("wrapper", &e))?;
     check::balance_only(&bundle.testbench).map_err(|e| fail("testbench", &e))?;
-    let (pattern, _, _) = compile(algo)?;
     for set in &bundle.vectors {
         if let Some(entity) = &set.entity {
             check::validate(entity).map_err(|e| fail(&set.entity_name, &e))?;
         }
         check::balance_only(&set.testbench).map_err(|e| fail(&set.testbench_name, &e))?;
         let file = VectorFile::parse(&set.vectors).map_err(|e| fail(&set.vectors_name, &e))?;
-        let cone = Cone::build(&pattern, file.window, file.depth).map_err(|e| fail("cone", &e))?;
+        let cone =
+            Cone::build(&kernel.pattern, file.window, file.depth).map_err(|e| fail("cone", &e))?;
         verify_vectors(&cone, file.format, &file).map_err(|e| fail(&set.vectors_name, &e))?;
     }
     let script = bundle.ghdl_script();
@@ -242,38 +210,39 @@ pub fn check_bundle(algo: &Algorithm, bundle: &VhdlBundle) -> Result<(), String>
     Ok(())
 }
 
-/// Complete passes over every kernel until `seconds` have passed (at least
-/// [`MIN_PASSES`]), pass `p` on input set `p % INPUTS`. Each bundle is
+/// Complete passes over every kernel until `seconds` have passed, at least
+/// one per input set, pass `p` on input set `p % inputs`. Each bundle is
 /// checked as soon as its flow returns and then dropped, so memory does not
 /// grow with the pass count; the log's elapsed time is the flows' own time,
-/// without the checks. Returns the log and each kernel's runs in pass
-/// order.
+/// without the checks. Latencies are logged per (kernel, input set).
+/// Returns the log and each kernel's runs in pass order.
 fn measure(
-    inputs: &Inputs,
+    ks: &[Kernel],
     seconds: f64,
     tracer: &Tracer,
     out: &mut Outcome,
 ) -> (OpLog, Vec<Vec<FlowRun>>) {
+    let inputs = ks.first().map_or(0, |k| k.inputs.len());
     let mut log = OpLog::default();
-    let mut runs: Vec<Vec<FlowRun>> = inputs.kernels.iter().map(|_| Vec::new()).collect();
+    let mut runs: Vec<Vec<FlowRun>> = ks.iter().map(|_| Vec::new()).collect();
     let t0 = Instant::now();
     let mut pass = 0;
-    while pass < MIN_PASSES || t0.elapsed().as_secs_f64() < seconds {
-        for (kernel, kernel_runs) in inputs.kernels.iter().zip(runs.iter_mut()) {
+    while pass < inputs || t0.elapsed().as_secs_f64() < seconds {
+        let input = pass % inputs;
+        for (kernel, kernel_runs) in ks.iter().zip(runs.iter_mut()) {
             out.attempted += 1;
-            let input = pass % kernel.inits.len();
-            match flow_once(&kernel.algo, &kernel.inits[input], tracer, None) {
+            match flow_once(&kernel.algo, &kernel.inputs[input], tracer, None) {
                 Ok((mut run, bundle)) => {
                     run.input = input;
-                    log.push(kernel.algo.name, run.secs);
+                    log.push(&format!("{}#{input}", kernel.algo.name), run.secs);
                     log.items += 1.0;
                     log.elapsed += run.secs;
                     kernel_runs.push(run);
-                    if let Err(e) = check_bundle(&kernel.algo, &bundle) {
+                    if let Err(e) = check_bundle(kernel, &bundle) {
                         out.fail(e);
                     }
                 }
-                Err(e) => out.op_failed(e),
+                Err(failure) => failure.record(out),
             }
         }
         pass += 1;
@@ -283,11 +252,12 @@ fn measure(
 
 /// The determinism guard's second computation: every kernel's flow on
 /// input set 0 once more, outside the measured region.
-fn guard_pass(inputs: &Inputs, runs: &mut [Vec<FlowRun>], out: &mut Outcome) {
-    for (kernel, kernel_runs) in inputs.kernels.iter().zip(runs.iter_mut()) {
-        match flow_once(&kernel.algo, &kernel.inits[0], &Tracer::new(false), None) {
+fn guard_pass(ks: &[Kernel], runs: &mut [Vec<FlowRun>], out: &mut Outcome) {
+    for (kernel, kernel_runs) in ks.iter().zip(runs.iter_mut()) {
+        out.attempted += 1;
+        match flow_once(&kernel.algo, &kernel.inputs[0], &Tracer::new(false), None) {
             Ok((run, _)) => kernel_runs.push(run),
-            Err(e) => out.op_failed(e),
+            Err(failure) => failure.record(out),
         }
     }
 }
@@ -295,8 +265,8 @@ fn guard_pass(inputs: &Inputs, runs: &mut [Vec<FlowRun>], out: &mut Outcome) {
 /// The determinism guard, outside the measured region: every later run on
 /// an input set must repeat the first one's counts and bundle exactly, and
 /// each certified cone compiles to the same program twice.
-fn check_runs(inputs: &Inputs, runs: &[Vec<FlowRun>], out: &mut Outcome) {
-    for (kernel, kernel_runs) in inputs.kernels.iter().zip(runs) {
+fn check_runs(ks: &[Kernel], runs: &[Vec<FlowRun>], out: &mut Outcome) {
+    for (kernel, kernel_runs) in ks.iter().zip(runs) {
         let name = kernel.algo.name;
         for (p, run) in kernel_runs.iter().enumerate() {
             if let Some(first) = kernel_runs[..p].iter().find(|r| r.input == run.input) {
@@ -310,29 +280,32 @@ fn check_runs(inputs: &Inputs, runs: &[Vec<FlowRun>], out: &mut Outcome) {
             }
             let case = Case {
                 algo: &kernel.algo,
-                init: &kernel.inits[run.input],
+                init: &kernel.inputs[run.input],
                 arch: run.arch,
             };
             match (layers::cone_instrs(&case), layers::cone_instrs(&case)) {
                 (Ok(a), Ok(b)) => out.guard(&format!("{name} sim.cone_instrs"), &a, &b),
-                (Err(e), _) | (_, Err(e)) => out.op_failed(e),
+                (Err(e), _) | (_, Err(e)) => out.fail(e),
             }
         }
     }
 }
 
-/// The first run on each of the first [`MIN_PASSES`] input sets of every
-/// kernel (every run makes those passes, so counts over them repeat).
-fn firsts<'r>(inputs: &Inputs, runs: &'r [Vec<FlowRun>]) -> Vec<&'r FlowRun> {
-    let counted = MIN_PASSES.min(inputs.inputs());
+/// The first run on each input set of every kernel.
+fn firsts(runs: &[Vec<FlowRun>]) -> Vec<&FlowRun> {
     runs.iter()
-        .flat_map(|r| (0..counted).filter_map(move |i| r.iter().find(|run| run.input == i)))
+        .flat_map(|r| {
+            r.iter()
+                .enumerate()
+                .filter(|(p, run)| r[..*p].iter().all(|e| e.input != run.input))
+                .map(|(_, run)| run)
+        })
         .collect()
 }
 
 /// Geometric mean over kernels and input sets of the chosen format's area.
-fn area_luts(inputs: &Inputs, runs: &[Vec<FlowRun>]) -> f64 {
-    let areas: Vec<f64> = firsts(inputs, runs)
+fn area_luts(runs: &[Vec<FlowRun>]) -> f64 {
+    let areas: Vec<f64> = firsts(runs)
         .iter()
         .map(|r| r.counts.area_luts as f64)
         .collect();
@@ -340,22 +313,22 @@ fn area_luts(inputs: &Inputs, runs: &[Vec<FlowRun>]) -> f64 {
 }
 
 /// Per-layer metrics of the traced region: stage spans, layer probes on
-/// each kernel's first certified case, and the flow counts over the first
-/// input sets.
+/// each kernel's first certified case, and the flow counts over every
+/// input set.
 fn layer_metrics(
-    inputs: &Inputs,
+    ks: &[Kernel],
     runs: &[Vec<FlowRun>],
     tracer: &Tracer,
     out: &mut Outcome,
 ) -> Result<(), String> {
     let mut probe_counts = Vec::new();
-    for (kernel, kernel_runs) in inputs.kernels.iter().zip(runs) {
+    for (kernel, kernel_runs) in ks.iter().zip(runs) {
         let Some(first) = kernel_runs.first() else {
             continue;
         };
         let case = Case {
             algo: &kernel.algo,
-            init: &kernel.inits[0],
+            init: &kernel.inputs[first.input],
             arch: first.arch,
         };
         let probe = tracer.span("layer_probe", kernel.algo.name, None);
@@ -367,7 +340,7 @@ fn layer_metrics(
             out.layers.insert(crate::metric_ms(name), ms);
         }
     }
-    let firsts = firsts(inputs, runs);
+    let firsts = firsts(runs);
     let sum =
         |f: &dyn Fn(&FlowCounts) -> u64| firsts.iter().map(|r| f(&r.counts)).sum::<u64>() as f64;
     let hits = sum(&|c| c.store_hits);
@@ -379,7 +352,7 @@ fn layer_metrics(
     out.layers.insert("core.store_misses", misses);
     out.layers
         .insert("core.store_hit_ratio", hits / (hits + misses));
-    out.layers.insert("fpga.area_luts", area_luts(inputs, runs));
+    out.layers.insert("fpga.area_luts", area_luts(runs));
     out.layers
         .insert("vhdl.bundle_bytes", sum(&|c| c.bundle_bytes));
     let probe_sum =
@@ -396,36 +369,25 @@ fn layer_metrics(
 
 pub fn run(args: &Args) -> Result<Outcome, String> {
     let mut out = Outcome::default();
-    let inputs = repeated_setup(&mut out, || {
-        let inputs = Inputs::new(args.seed, SIZE, &[], INPUTS)?;
+    let ks = repeated_setup(&mut out, || {
+        let ks = seeded_kernels(args.seed, &KERNELS, (SIZE, SIZE), INPUTS)?;
         // One cold flow of the cheapest kernel starts the worker pool and
         // settles the allocator, so the first measured flow pays neither.
-        let sobel = inputs
-            .kernels
+        let sobel = ks
             .iter()
             .find(|k| k.algo.name == "sobel")
             .ok_or("sobel kernel missing")?;
-        let (warm, _) = flow_once(&sobel.algo, &sobel.inits[0], &Tracer::new(false), None)?;
-        Ok((inputs, warm.counts.to_vec()))
+        let (warm, _) = flow_once(&sobel.algo, &sobel.inputs[0], &Tracer::new(false), None)
+            .map_err(FlowFailure::message)?;
+        Ok((ks, warm.counts.to_vec()))
     })?;
 
-    let seconds = if args.trace {
-        args.seconds / 2.0
-    } else {
-        args.seconds
-    };
-    let (log, mut runs) = measure(&inputs, seconds, &Tracer::new(false), &mut out);
+    let seconds = args.measured_seconds();
+    let (log, mut runs) = measure(&ks, seconds, &Tracer::new(false), &mut out);
     out.log = log;
-    guard_pass(&inputs, &mut runs, &mut out);
-    check_runs(&inputs, &runs, &mut out);
-    out.detail
-        .push(("flow_s", out.log.percentile_ms(50.0) / 1e3, "s"));
-    out.detail
-        .push(("searched_area_luts", area_luts(&inputs, &runs), "LUT"));
-    for (kernel, kernel_runs) in inputs.kernels.iter().zip(&runs) {
-        let formats: Vec<String> = kernel_runs
+    for (kernel, kernel_runs) in ks.iter().zip(&runs) {
+        let formats: Vec<String> = firsts(std::slice::from_ref(kernel_runs))
             .iter()
-            .take(MIN_PASSES)
             .map(|r| {
                 format!(
                     "w{} d{} c{} {} {} LUT {} probes",
@@ -438,35 +400,36 @@ pub fn run(args: &Args) -> Result<Outcome, String> {
                 )
             })
             .collect();
-        let measured = out
-            .log
-            .latencies
-            .get(kernel.algo.name)
-            .map_or(&[][..], Vec::as_slice);
+        let secs: Vec<f64> = kernel_runs.iter().map(|r| r.secs).collect();
         println!(
-            "flow_cold {:<9} median {:.1} ms over {} flows; first inputs: {}",
+            "flow_cold {:<9} median {:.1} ms over {} flows; per input set: {}",
             kernel.algo.name,
-            stats::median(measured).unwrap_or(f64::NAN) * 1e3,
-            measured.len(),
+            stats::median(&secs).unwrap_or(f64::NAN) * 1e3,
+            secs.len(),
             formats.join(" | "),
         );
     }
+    guard_pass(&ks, &mut runs, &mut out);
+    check_runs(&ks, &runs, &mut out);
+    out.detail.push(("flow_s", out.log.median_ms() / 1e3, "s"));
+    out.detail
+        .push(("searched_area_luts", area_luts(&runs), "LUT"));
 
     if args.trace {
         let tracer = Tracer::new(true);
-        let (traced, traced_runs) = measure(&inputs, seconds, &tracer, &mut out);
+        let (traced, traced_runs) = measure(&ks, seconds, &tracer, &mut out);
         out.trace_overhead(&traced);
-        layer_metrics(&inputs, &traced_runs, &tracer, &mut out)?;
+        layer_metrics(&ks, &traced_runs, &tracer, &mut out)?;
     }
     Ok(out)
 }
 
 /// A short traced flow for runs whose own workload does not reach the
-/// flow layers: cold flows of `jacobi` on one small input, plus its layer
-/// probes.
+/// flow layers: one cold flow of `jacobi` on one small input, plus its
+/// layer probes.
 pub fn tour(seed: u64, out: &mut Outcome) -> Result<(), String> {
-    let inputs = Inputs::new(seed, 16, &["jacobi"], 1)?;
+    let ks = seeded_kernels(seed, &["jacobi"], (16, 16), 1)?;
     let tracer = Tracer::new(true);
-    let (_, runs) = measure(&inputs, 0.0, &tracer, out);
-    layer_metrics(&inputs, &runs, &tracer, out)
+    let (_, runs) = measure(&ks, 0.0, &tracer, out);
+    layer_metrics(&ks, &runs, &tracer, out)
 }

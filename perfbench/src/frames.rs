@@ -4,12 +4,10 @@
 
 use std::time::Instant;
 
-use isl_hls::algorithms::Algorithm;
 use isl_hls::prelude::*;
-use isl_hls::sim::{synthetic, Quantizer};
+use isl_hls::sim::Quantizer;
 
-use crate::common::{algorithm, compile, repeated_setup, Args, OpLog, Outcome};
-use crate::mix::derive;
+use crate::common::{fnv1a, repeated_setup, seeded_kernels, Args, Kernel, OpLog, Outcome};
 use crate::stats;
 use crate::trace::{self, Tracer};
 
@@ -31,57 +29,20 @@ fn q8_10() -> Quantizer {
     Quantizer::q18_10()
 }
 
-struct Kernel {
-    algo: Algorithm,
-    pattern: StencilPattern,
-    border: BorderMode,
-    frames: Vec<FrameSet>,
+/// Output rows of a top band of `rows` input rows that do not depend on
+/// anything below the band.
+fn exact_rows(k: &Kernel, rows: usize) -> usize {
+    rows - (ITERS * k.pattern.radius()) as usize
 }
 
-impl Kernel {
-    /// Output rows of a top band of `rows` input rows that do not depend on
-    /// anything below the band.
-    fn exact_rows(&self, rows: usize) -> usize {
-        rows - (ITERS * self.pattern.radius()) as usize
-    }
-}
-
-fn kernels(seed: u64, width: usize, height: usize) -> Result<Vec<Kernel>, String> {
-    let mut out = Vec::new();
-    for (k, name) in KERNELS.iter().enumerate() {
-        let algo = algorithm(name)?;
-        let (pattern, border, _) = compile(&algo)?;
-        let frames = (0..STREAM)
-            .map(|f| {
-                let fields = (0..pattern.fields().len())
-                    .map(|i| {
-                        synthetic::noise(width, height, derive(seed, (k * 256 + f * 16 + i) as u64))
-                    })
-                    .collect();
-                FrameSet::from_frames(fields).map_err(|e| e.to_string())
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        out.push(Kernel {
-            algo,
-            pattern,
-            border,
-            frames,
-        });
-    }
-    Ok(out)
-}
-
-/// A fingerprint of the exact bits of the first `rows` rows of every field
-/// (FNV-1a over the words).
+/// A fingerprint of the exact bits of the first `rows` rows of every field.
 fn fingerprint(fs: &FrameSet, rows: usize) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for fi in 0..fs.len() {
+    fnv1a((0..fs.len()).flat_map(|fi| {
         let frame = fs.frame(fi);
-        for v in &frame.as_slice()[..rows * frame.width()] {
-            h = (h ^ v.to_bits()).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-    h
+        frame.as_slice()[..rows * frame.width()]
+            .iter()
+            .map(|v| v.to_bits())
+    }))
 }
 
 fn top_rows(fs: &FrameSet, rows: usize) -> Result<FrameSet, String> {
@@ -159,9 +120,9 @@ fn measure(
         for (k, (kernel, sim)) in ks.iter().zip(&sims).enumerate() {
             for quantised in [false, true] {
                 let mode = usize::from(quantised);
-                let frame = &kernel.frames[f];
+                let frame = &kernel.inputs[f];
                 let span_name = ["sim.frame_float", "sim.frame_q"][mode];
-                let kind = format!("{}.{}", kernel.algo.name, ["float", "q"][mode]);
+                let kind = format!("{}.{}#{f}", kernel.algo.name, ["float", "q"][mode]);
                 out.attempted += 1;
                 let t = Instant::now();
                 let result = tracer.time(span_name, kernel.algo.name, None, || {
@@ -171,7 +132,7 @@ fn measure(
                 let output = match result {
                     Ok(output) => output,
                     Err(e) => {
-                        out.op_failed(format!("{kind}: {e}"));
+                        out.fail(format!("{kind}: {e}"));
                         continue;
                     }
                 };
@@ -185,7 +146,7 @@ fn measure(
                     fingerprint(&output, output.frame(0).height()),
                     fingerprint(
                         &output,
-                        kernel.exact_rows(REFERENCE_ROWS.min(first.height())),
+                        exact_rows(kernel, REFERENCE_ROWS.min(first.height())),
                     ),
                 );
                 match &mut seen.prints[Seen::slot(k, quantised, f)] {
@@ -205,15 +166,15 @@ fn measure(
 fn check_references(ks: &[Kernel], seen: &Seen, out: &mut Outcome) -> Result<(), String> {
     for (k, kernel) in ks.iter().enumerate() {
         let sim = simulator(kernel, 0)?;
-        let rows = REFERENCE_ROWS.min(kernel.frames[0].frame(0).height());
-        let band = top_rows(&kernel.frames[0], rows)?;
+        let rows = REFERENCE_ROWS.min(kernel.inputs[0].frame(0).height());
+        let band = top_rows(&kernel.inputs[0], rows)?;
         let float_ref = sim.run_reference(&band, ITERS).map_err(|e| e.to_string())?;
         let q_ref = sim
             .run_quantized_reference(&band, ITERS, q8_10())
             .map_err(|e| e.to_string())?;
         for (quantised, reference) in [(false, float_ref), (true, q_ref)] {
             let streamed = seen.prints[Seen::slot(k, quantised, 0)].map(|(_, band)| band);
-            if streamed != Some(fingerprint(&reference, kernel.exact_rows(rows))) {
+            if streamed != Some(fingerprint(&reference, exact_rows(kernel, rows))) {
                 out.fail(format!(
                     "{}: first {} frame differs from the reference engine",
                     kernel.algo.name,
@@ -232,7 +193,7 @@ fn layer_metrics(ks: &[Kernel], tracer: &Tracer, out: &mut Outcome) -> Result<()
         let sim = simulator(kernel, 1)?;
         tracer
             .time("sim.frame_q_1t", kernel.algo.name, None, || {
-                run_frame(&sim, &kernel.frames[0], true)
+                run_frame(&sim, &kernel.inputs[0], true)
             })
             .map_err(|e| format!("{}: {e}", kernel.algo.name))?;
     }
@@ -248,13 +209,13 @@ fn layer_metrics(ks: &[Kernel], tracer: &Tracer, out: &mut Outcome) -> Result<()
 pub fn run(args: &Args) -> Result<Outcome, String> {
     let mut out = Outcome::default();
     let ks = repeated_setup(&mut out, || {
-        let ks = kernels(args.seed, WIDTH, HEIGHT)?;
+        let ks = seeded_kernels(args.seed, &KERNELS, (WIDTH, HEIGHT), STREAM)?;
         // Compile every program and start the pool on a small frame, so
         // the first measured frame pays neither.
         let mut counts = Vec::new();
         for kernel in &ks {
             let sim = simulator(kernel, 0)?;
-            let small = top_rows(&kernel.frames[0], 16)?;
+            let small = top_rows(&kernel.inputs[0], 16)?;
             for quantised in [false, true] {
                 counts.push(fingerprint(&run_frame(&sim, &small, quantised)?, 16));
             }
@@ -262,11 +223,7 @@ pub fn run(args: &Args) -> Result<Outcome, String> {
         Ok((ks, counts))
     })?;
 
-    let seconds = if args.trace {
-        args.seconds / 2.0
-    } else {
-        args.seconds
-    };
+    let seconds = args.measured_seconds();
     let mut seen = Seen::new();
     let (log, rates) = measure(&ks, seconds, &Tracer::new(false), &mut out, &mut seen)?;
     out.log = log;
@@ -295,7 +252,7 @@ pub fn run(args: &Args) -> Result<Outcome, String> {
 /// Frame metrics for runs whose own workload does not stream frames: the
 /// same stream on 256×256 frames.
 pub fn tour(seed: u64, out: &mut Outcome) -> Result<(), String> {
-    let ks = kernels(seed, 256, 256)?;
+    let ks = seeded_kernels(seed, &KERNELS, (256, 256), STREAM)?;
     let tracer = Tracer::new(true);
     measure(&ks, 0.0, &tracer, out, &mut Seen::new())?;
     layer_metrics(&ks, &tracer, out)

@@ -169,9 +169,10 @@ fn peak_rss_mb() -> Result<f64, String> {
 }
 
 /// Fill every per-layer metric the workload's own traced run did not
-/// reach with a short tour of that layer group, so each traced run
-/// reports every layer. A tour never replaces a metric the workload
-/// measured itself.
+/// reach with a short tour of that layer group: the result line of a
+/// traced run must carry every per-layer metric. A tour never replaces a
+/// metric the workload measured itself, and the metrics it fills are
+/// listed in `out.toured` (printed before the result line).
 fn complete_layers(args: &Args, out: &mut Outcome) -> Result<(), String> {
     type Tour = fn(u64, &mut Outcome) -> Result<(), String>;
     let tours: [(&[&str], Tour); 4] = [
@@ -186,11 +187,14 @@ fn complete_layers(args: &Args, out: &mut Outcome) -> Result<(), String> {
         }
         let mut toured = Outcome::default();
         tour(args.seed, &mut toured)?;
-        if let Some(e) = toured.errors.into_iter().chain(toured.op_errors).next() {
+        if let Some(e) = toured.errors.into_iter().chain(toured.refusals).next() {
             return Err(format!("layer tour: {e}"));
         }
         for (name, value) in toured.layers {
-            out.layers.entry(name).or_insert(value);
+            if !out.layers.contains_key(name) {
+                out.layers.insert(name, value);
+                out.toured.push(name);
+            }
         }
         out.spans.extend(toured.spans);
     }
@@ -243,8 +247,8 @@ fn run(args: &Args) -> Result<(bool, String), String> {
         out.setup_s,
         peak,
         log.throughput(),
-        log.percentile_ms(50.0),
-        log.percentile_ms(95.0),
+        log.median_ms(),
+        log.pooled_ms(95.0),
     ];
 
     // The workload's own figures and its record, before the result line.
@@ -269,8 +273,8 @@ fn run(args: &Args) -> Result<(bool, String), String> {
     }
     detail.push('}');
     println!("{detail}");
-    for e in &out.op_errors {
-        println!("failed: {e}");
+    for e in &out.refusals {
+        println!("refused: {e}");
     }
     for e in &out.errors {
         println!("error: {e}");
@@ -278,6 +282,12 @@ fn run(args: &Args) -> Result<(bool, String), String> {
 
     let metrics: Vec<(&str, f64, &str)> = if args.trace {
         complete_layers(args, &mut out)?;
+        if !out.toured.is_empty() {
+            println!(
+                "from layer tours, not this workload: {}",
+                out.toured.join(", ")
+            );
+        }
         let dir = out_dir();
         std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
         let path = dir.join(format!("trace-{}-{}.json", args.workload, args.seed));

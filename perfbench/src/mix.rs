@@ -68,16 +68,29 @@ pub fn hot_keys() -> Vec<ServeOp> {
     keys
 }
 
-/// The request sequence of client `client` under run seed `seed`: blocks
-/// of [`BLOCK`] requests, each with one write at a seeded position (write
-/// algorithms taking turns) and reads drawn from [`hot_keys`]. Stratifying
-/// the writes keeps the read share exactly 1 − 1/[`BLOCK`] in every run,
-/// so runs under different seeds carry the same load. Deterministic in
-/// `(seed, client)`; write seeds never repeat within or across clients and
-/// never hit a hot key.
-pub fn client_sequence(seed: u64, client: u64, len: usize) -> Vec<ServeOp> {
+/// Closed-loop clients per half of a run, and the longest sequence one
+/// client sends (the widths of their fields in a write seed).
+pub const MAX_CLIENTS: u64 = 2;
+pub const MAX_LEN: usize = 1 << 20;
+/// Bits of the run seed a write seed carries.
+const SEED_BITS: u32 = 30;
+
+/// The request sequence of client `client` in half `half` of a run (0
+/// untraced, 1 traced) under run seed `seed`: blocks of [`BLOCK`]
+/// requests, each with one write at a seeded position (write algorithms
+/// taking turns) and reads drawn from [`hot_keys`]. Stratifying the writes
+/// keeps the read share exactly 1 − 1/[`BLOCK`] in every run, so runs
+/// under different seeds carry the same load. Deterministic in
+/// `(seed, half, client)`.
+///
+/// A write seed is `1·2^52 | half·2^51 | client·2^50 | seed mod 2^30 ·
+/// 2^20 | index`: unique across halves, clients and indices, equal for two
+/// runs only when their seeds agree in the low 30 bits, far above the hot
+/// seeds, and below 2^53, because the wire carries numbers as doubles.
+pub fn client_sequence(seed: u64, half: u64, client: u64, len: usize) -> Vec<ServeOp> {
+    assert!(half < 2 && client < MAX_CLIENTS && len <= MAX_LEN);
     let hot = hot_keys();
-    let mut rng = Rng::new(derive(seed, 0x5E7E_0000 + client));
+    let mut rng = Rng::new(derive(seed, 0x5E7E_0000 + half * MAX_CLIENTS + client));
     let mut next_algo = rng.below(SERVE_ALGOS.len());
     let mut write_at = rng.below(BLOCK);
     (0..len as u64)
@@ -91,10 +104,8 @@ pub fn client_sequence(seed: u64, client: u64, len: usize) -> Vec<ServeOp> {
             }
             let algo = SERVE_ALGOS[next_algo];
             next_algo = (next_algo + 1) % SERVE_ALGOS.len();
-            // Bits above the run seed's low byte carry (client, index):
-            // unique by construction and far above the hot seeds. The
-            // wire carries numbers as f64, so seeds stay below 2^53.
-            let fresh = (1 << 52) | (client << 40) | (i << 8) | (seed & 0xFF);
+            let run = seed & ((1 << SEED_BITS) - 1);
+            let fresh = (1 << 52) | (half << 51) | (client << 50) | (run << 20) | i;
             ServeOp::Write { algo, seed: fresh }
         })
         .collect()
@@ -130,7 +141,7 @@ mod tests {
     #[test]
     fn mix_has_the_stated_read_share() {
         for seed in [1, 2, 99] {
-            let ops = client_sequence(seed, 0, 20_000);
+            let ops = client_sequence(seed, 0, 0, 20_000);
             // Exactly one write per block, wherever a run stops.
             for block in ops.chunks(BLOCK) {
                 assert_eq!(block.iter().filter(|op| op.is_write()).count(), 1);
@@ -161,21 +172,27 @@ mod tests {
 
     #[test]
     fn mix_is_reproducible_per_seed_and_client() {
-        assert_eq!(client_sequence(5, 1, 500), client_sequence(5, 1, 500));
-        assert_ne!(client_sequence(5, 1, 500), client_sequence(6, 1, 500));
-        assert_ne!(client_sequence(5, 0, 500), client_sequence(5, 1, 500));
+        assert_eq!(client_sequence(5, 0, 1, 500), client_sequence(5, 0, 1, 500));
+        assert_ne!(client_sequence(5, 0, 1, 500), client_sequence(6, 0, 1, 500));
+        assert_ne!(client_sequence(5, 0, 0, 500), client_sequence(5, 0, 1, 500));
+        assert_ne!(client_sequence(5, 0, 1, 500), client_sequence(5, 1, 1, 500));
     }
 
     #[test]
     fn write_seeds_are_fresh() {
         let hot: HashSet<u64> = HOT_CERTIFY_SEEDS.into_iter().collect();
         let mut seen = HashSet::new();
-        for client in 0..2 {
-            for op in client_sequence(11, client, 5_000) {
-                if let ServeOp::Write { algo, seed } = op {
-                    assert!(!hot.contains(&seed));
-                    assert!(seed < 1 << 53, "seed not exact as a JSON number");
-                    assert!(seen.insert((algo, seed)), "write seed repeated");
+        // Both halves of two runs whose seeds share their low byte.
+        for run in [11, 11 + 256] {
+            for half in 0..2 {
+                for client in 0..MAX_CLIENTS {
+                    for op in client_sequence(run, half, client, 5_000) {
+                        if let ServeOp::Write { seed, .. } = op {
+                            assert!(!hot.contains(&seed));
+                            assert!(seed < 1 << 53, "seed not exact as a JSON number");
+                            assert!(seen.insert(seed), "write seed repeated");
+                        }
+                    }
                 }
             }
         }

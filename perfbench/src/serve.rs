@@ -13,14 +13,16 @@ use isl_serve::{Client, Op, Request, ServeConfig, Server, ServerHandle};
 
 use crate::common::{algorithm, repeated_setup, Args, OpLog, Outcome};
 use crate::layers::{self, Case};
-use crate::mix::{self, client_sequence, hot_keys, Rng, ServeOp, SERVE_ALGOS};
+use crate::mix::{self, client_sequence, hot_keys, Rng, ServeOp, MAX_CLIENTS, SERVE_ALGOS};
 use crate::stats;
 use crate::trace::{self, Tracer};
 
 pub const WHY: &str = "the served path: 90% store-served reads through protocol and admission batching, 10% cold-certify writes that checkpoint and block the dispatcher";
 
 /// Closed-loop client connections (one per core of the reference box).
-const CLIENTS: u64 = 2;
+const CLIENTS: u64 = MAX_CLIENTS;
+/// Requests generated per client: far more than one measured region sends.
+const SEQUENCE: usize = 1 << 16;
 /// Served certificates re-derived in process after each run.
 const SAMPLE: usize = 3;
 
@@ -120,10 +122,12 @@ struct Reply {
 }
 
 /// Closed-loop clients, each sending its next request of the seeded mix
-/// once the previous reply is in, until `seconds` have passed.
+/// of run half `half` once the previous reply is in, until `seconds` have
+/// passed.
 fn drive(
     service: &Service,
     seed: u64,
+    half: u64,
     seconds: f64,
     tracer: &Tracer,
 ) -> Result<(Vec<Reply>, f64), String> {
@@ -135,7 +139,8 @@ fn drive(
                 scope.spawn(move || -> Result<Vec<Reply>, String> {
                     let mut client = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
                     let mut replies = Vec::new();
-                    for (i, op) in client_sequence(seed, c, 1 << 16).into_iter().enumerate() {
+                    let sequence = client_sequence(seed, half, c, SEQUENCE);
+                    for (i, op) in sequence.into_iter().enumerate() {
                         if t0.elapsed().as_secs_f64() >= seconds {
                             break;
                         }
@@ -163,9 +168,11 @@ fn drive(
     ))
 }
 
+/// Every reply counts, failed or not: a failed reply already makes the run
+/// incorrect, and leaving it out would flatter the figures.
 fn log_of(replies: &[Reply], elapsed: f64) -> OpLog {
     let mut log = OpLog::default();
-    for r in replies.iter().filter(|r| r.result.is_ok()) {
+    for r in replies {
         log.push("request", r.secs);
         log.items += 1.0;
     }
@@ -205,12 +212,14 @@ fn same_certificate(req: &Request, v: &Value) -> Result<(), String> {
     Ok(())
 }
 
-/// Every reply must be ok; a seeded sample of served certificates (at
-/// least one write when there was one) must equal in-process certifies.
+/// Every reply must be ok (the protocol's error text cannot tell a
+/// refusal from a mismatch, so any error fails the run); a seeded sample
+/// of served certificates (at least one write when there was one) must
+/// equal in-process certifies.
 fn check_replies(replies: &[Reply], seed: u64, out: &mut Outcome) {
     for r in replies {
         if let Err(e) = &r.result {
-            out.op_failed(format!("{:?}: {e}", r.op));
+            out.fail(format!("{:?}: {e}", r.op));
         }
     }
     let certifies: Vec<&Reply> = replies
@@ -324,31 +333,29 @@ pub fn run(args: &Args) -> Result<Outcome, String> {
         Ok((service, counts))
     })?;
 
-    let seconds = if args.trace {
-        args.seconds / 2.0
-    } else {
-        args.seconds
-    };
-    let (replies, elapsed) = drive(&service, args.seed, seconds, &Tracer::new(false))?;
+    let seconds = args.measured_seconds();
+    let (replies, elapsed) = drive(&service, args.seed, 0, seconds, &Tracer::new(false))?;
     out.attempted += replies.len() as u64;
     out.log = log_of(&replies, elapsed);
     check_replies(&replies, args.seed, &mut out);
     let writes = replies.iter().filter(|r| r.op.is_write()).count();
     out.detail.push(("serve_rps", out.log.throughput(), "1/s"));
+    out.detail.push(("serve_p50_ms", out.log.median_ms(), "ms"));
     out.detail
-        .push(("serve_p50_ms", out.log.percentile_ms(50.0), "ms"));
-    out.detail
-        .push(("serve_p95_ms", out.log.percentile_ms(95.0), "ms"));
+        .push(("serve_p95_ms", out.log.pooled_ms(95.0), "ms"));
     println!(
         "serve_mixed {} requests ({} writes) from {CLIENTS} closed-loop clients in {elapsed:.2} s",
         replies.len(),
         writes
     );
 
+    service.stop();
     if args.trace {
+        // The traced half runs on a freshly warmed service, so its writes
+        // checkpoint a store of the same size as the untraced half's did.
+        let service = start(&dir, &keys)?;
         let tracer = Tracer::new(true);
-        let (traced_replies, traced_elapsed) =
-            drive(&service, mix::derive(args.seed, 1), seconds, &tracer)?;
+        let (traced_replies, traced_elapsed) = drive(&service, args.seed, 1, seconds, &tracer)?;
         out.attempted += traced_replies.len() as u64;
         check_replies(&traced_replies, args.seed, &mut out);
         out.trace_overhead(&log_of(&traced_replies, traced_elapsed));
@@ -377,7 +384,6 @@ pub fn run(args: &Args) -> Result<Outcome, String> {
         }
         layer_metrics(service, &traced_replies, &SERVE_ALGOS, &tracer, &mut out)?;
     } else {
-        service.stop();
         let _ = std::fs::remove_dir_all(&dir);
     }
     Ok(out)
