@@ -133,10 +133,15 @@ pub fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
 pub struct OpLog {
     /// Latency samples in seconds, per operation kind.
     pub latencies: BTreeMap<String, Vec<f64>>,
-    /// Work items completed (the throughput numerator).
+    /// Work items completed (the throughput numerator without
+    /// [`OpLog::items_per_op`]).
     pub items: f64,
     /// Wall time of the measured region, seconds.
     pub elapsed: f64,
+    /// Work items one operation of each kind completes, for a workload
+    /// that runs one operation at a time. When set, throughput is taken
+    /// over per-kind medians (see [`OpLog::throughput`]).
+    pub items_per_op: BTreeMap<String, f64>,
 }
 
 impl OpLog {
@@ -169,8 +174,23 @@ impl OpLog {
         stats::percentile(&all, p).map_or(f64::NAN, |s| s * 1e3)
     }
 
+    /// Work items per second. Without [`OpLog::items_per_op`], over the
+    /// whole measured region. With it, one operation of every kind at its
+    /// median time: `Σ items / Σ median seconds` over the kinds, so a stall
+    /// of the machine during a few operations does not move it.
     pub fn throughput(&self) -> f64 {
-        self.items / self.elapsed
+        if self.items_per_op.is_empty() {
+            return self.items / self.elapsed;
+        }
+        let (items, secs) = self
+            .items_per_op
+            .iter()
+            .filter_map(|(kind, items)| {
+                let median = stats::median(self.latencies.get(kind)?)?;
+                Some((*items, median))
+            })
+            .fold((0.0, 0.0), |(i, s), (items, median)| (i + items, s + median));
+        items / secs
     }
 }
 
@@ -286,6 +306,12 @@ mod tests {
         // pooled samples 1, 2, 3, 4, 4, 4, 10 ms: the maximum and the median
         assert!((log.pooled_ms(100.0) - 10.0).abs() < 1e-9);
         assert!((log.pooled_ms(50.0) - 4.0).abs() < 1e-9);
+
+        // Per-kind medians: a's 2 ms for 10 items and b's 4 ms for 20
+        // items, whatever the slow outlier of b.
+        log.items_per_op.insert("a".into(), 10.0);
+        log.items_per_op.insert("b".into(), 20.0);
+        assert!((log.throughput() - 30.0 / 0.006).abs() < 1e-6);
     }
 
     #[test]

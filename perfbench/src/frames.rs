@@ -137,7 +137,7 @@ fn measure(
                     }
                 };
                 log.push(&kind, secs);
-                log.items += 1.0;
+                log.items_per_op.insert(kind.clone(), 1.0);
                 log.elapsed += secs;
                 busy[mode] += secs;
                 let first = frame.frame(0);

@@ -1,10 +1,10 @@
-//! The repository benchmark: four workloads over the ISL HLS flow and its
+//! The repository benchmark: three workloads over the ISL HLS flow and its
 //! service, end-to-end metrics from untraced runs and per-layer metrics
 //! from a traced run. See `README.md` next to this crate.
 //!
 //! ```text
 //! cargo run --release --manifest-path perfbench/Cargo.toml -- \
-//!     --workload flow_cold --seed 1 --seconds 15 --trace 0
+//!     --workload flow_cold --seed 1 --seconds 20 --trace 0
 //! ```
 //!
 //! The last line of standard output is one JSON object:
@@ -29,11 +29,10 @@ use std::process::ExitCode;
 use common::{Args, Outcome};
 
 /// The workloads, with the one-line reason each was chosen.
-const WORKLOADS: [(&str, &str); 4] = [
+const WORKLOADS: [(&str, &str); 3] = [
     ("flow_cold", flow::WHY),
     ("serve_mixed", serve::WHY),
     ("frames_1080p", frames::WHY),
-    ("fault_sweep", faults::WHY),
 ];
 
 /// End-to-end metrics of an untraced run: `(name, unit)`.
@@ -228,7 +227,6 @@ fn run(args: &Args) -> Result<(bool, String), String> {
         "flow_cold" => flow::run(args)?,
         "serve_mixed" => serve::run(args)?,
         "frames_1080p" => frames::run(args)?,
-        "fault_sweep" => faults::run(args)?,
         other => {
             let known: Vec<&str> = WORKLOADS.iter().map(|(n, _)| *n).collect();
             return Err(format!(
