@@ -22,9 +22,8 @@
 //!    bounds for a given format, either proving saturation-freedom
 //!    ([`Analysis::first_overflow`]` == None`) or pinpointing the first
 //!    statically-overflowing instruction. `isl_hls::IslSession::search_format`
-//!    consults this to route statically-doomed escalation probes through a
-//!    cheap error-measurement-only path (bit-identical probe numbers, no
-//!    full certification), counting the skips in `StoreStats`.
+//!    consults this to label statically-doomed escalation probes, counting
+//!    those that also miss the budget in `StoreStats`.
 //! 2. **Bytecode verification** ([`verify_cone`] and friends) — def-before-use
 //!    over allocated slots, interference-freedom of the linear-scan slot
 //!    reuse, multi-root DCE soundness and CSE congruence, run as a debug

@@ -413,11 +413,11 @@ fn main() {
         ));
     }
 
-    // Precision format search: cold (every probe certified from scratch)
-    // vs warm (the stored outcome), and the area of the searched format vs
-    // the Q8.10/18-bit default through the width-parameterised techmap.
-    // Smaller frames than the engine cases — each probe is a full
-    // certification of the architecture at that format.
+    // Precision format search: cold (every probe measured from scratch,
+    // the chosen format certified) vs warm (the stored outcome), and the
+    // area of the searched format vs the Q8.10/18-bit default through the
+    // width-parameterised techmap. Smaller frames than the engine cases —
+    // each probe is a co-simulated run of the architecture at that format.
     const FS_SIZE: usize = 64;
     let fs_arch = Architecture::new(Window::square(8), DEPTH, 2);
     let mut fs_rows: Vec<String> = Vec::new();
@@ -554,8 +554,9 @@ fn main() {
     // is the cost of gating a probe or classifying a fault statically, and
     // must stay orders of magnitude above the certification work it
     // prunes. The pruning columns run the saturating-band format searches
-    // of the property suite and report how many full certification probes
-    // the range proof skipped, and what the whole gated search cost.
+    // of the property suite and report how many escalation probes the
+    // range proof flagged and that missed the budget, and what the whole
+    // gated search cost.
     let mut sa_rows: Vec<String> = Vec::new();
     for case in &cases {
         let params: Vec<f64> = case.pattern.params().iter().map(|p| p.default).collect();
@@ -580,8 +581,7 @@ fn main() {
         // The saturating-band search: three-digit inputs overflow the
         // early escalation widths of the Gaussian's 16x pre-normalisation
         // sum; Chambolle's internal 1/lambda = 10x gain overflows on unit
-        // noise. Every statically-doomed escalation probe skips its full
-        // certification.
+        // noise. Every statically-doomed escalation probe is counted.
         let fields = case.pattern.fields().len();
         let sat_init = FrameSet::from_frames(
             (0..fields)

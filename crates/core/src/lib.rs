@@ -30,10 +30,10 @@
 //!    ([`ArchitectureCertificate`], via `isl-cosim`);
 //! 7. **FormatSearched** — precision design-space exploration
 //!    ([`IslSession::search_format`]): binary-search the narrowest
-//!    certified fixed-point format within an [`ErrorBudget`], with every
-//!    probed format's golden vectors and certificate cached in the store,
-//!    and the area saving measured through the width-parameterised
-//!    technology mapper.
+//!    certified fixed-point format within an [`ErrorBudget`], every probe
+//!    a light error measurement cached in the store, only the chosen format
+//!    certified in full, and the area saving measured through the
+//!    width-parameterised technology mapper.
 //!
 //! Every stage output is an immutable, `Arc`-shared handle backed by the
 //! session's concurrency-safe **artifact store** ([`ArtifactStore`]): built

@@ -231,10 +231,9 @@ struct Spec {
     schedule: ScheduleModel,
     threads: usize,
     /// Consult the `isl-analyze` saturation certificates during
-    /// `search_format` to route statically-doomed escalation probes
-    /// through the cheap error-measurement-only path. Outside every store
-    /// key on purpose: probe results are bit-identical either way, only
-    /// the work performed differs.
+    /// `search_format` to label statically-doomed escalation probes
+    /// ([`StoreStats::analysis_pruned_probes`]). Outside every store key on
+    /// purpose: probe results are bit-identical either way.
     static_analysis: bool,
 }
 
@@ -373,12 +372,10 @@ impl IslSession {
     }
 
     /// Enable or disable the `isl-analyze` saturation certificates inside
-    /// [`IslSession::search_format`] (default **on**). With analysis on,
-    /// an escalation probe whose width the analyzer proves may-saturating
-    /// skips its full certification and only measures the quantisation
-    /// error — the returned [`FormatSearchOutcome`] is bit-identical
-    /// either way (the property suite asserts it), and every skipped
-    /// probe is counted in [`StoreStats::analysis_pruned_probes`].
+    /// [`IslSession::search_format`] (default **on**): an escalation probe
+    /// the analyzer flags may-saturating that misses the budget is counted
+    /// in [`StoreStats::analysis_pruned_probes`]. The returned
+    /// [`FormatSearchOutcome`] is bit-identical either way (tested).
     pub fn with_static_analysis(mut self, enabled: bool) -> Self {
         Arc::make_mut(&mut self.spec).static_analysis = enabled;
         self
@@ -492,6 +489,14 @@ impl IslSession {
     /// decompose stage and the cone's key.
     pub fn cone(&self, window: Window, depth: u32) -> Result<Arc<Cone>, FlowError> {
         self.cone_at(Stage::Decompose, window, depth)
+    }
+
+    /// The store key of `arch`'s decomposition over `init` at this
+    /// session's format.
+    fn run_key(&self, init: &FrameSet, arch: Architecture) -> RunKey {
+        let s = &self.spec;
+        let fmt = s.synth_options.format;
+        RunKey::new(s.fingerprint, init, fmt, s.border, s.iterations, arch.window, arch.depth)
     }
 
     /// A synthesiser wired to the store's cone and report caches.
@@ -804,15 +809,7 @@ impl IslSession {
     /// mismatched frame sets.
     pub fn certify(&self, init: &FrameSet, arch: Architecture) -> Result<Certified, FlowError> {
         let _span = isl_telemetry::span("stage", "Certified");
-        let key = RunKey::new(
-            self.spec.fingerprint,
-            init,
-            self.spec.synth_options.format,
-            self.spec.border,
-            self.spec.iterations,
-            arch.window,
-            arch.depth,
-        );
+        let key = self.run_key(init, arch);
         let artifact = key.describe();
         let vector_key = key.clone();
         let certificate = self
@@ -1000,15 +997,14 @@ impl IslSession {
     /// per-pixel rounding noise — saturation residue is frac-independent
     /// and handled by the integer-bit escalation), which
     /// `tests/tests/format_search_props.rs` property-tests.
-    /// Every probe is a full [`IslSession::certify`] at that format —
-    /// quantised engines bitwise-checked, golden vectors generated and
-    /// verified word-for-word — so each probed format's vectors and
-    /// [`ArchitectureCertificate`] land in the artifact store. Re-running
-    /// the search warm (same budget) serves the stored outcome; re-running
-    /// with a *different* budget re-drives the binary search but serves
-    /// every previously-probed format from the store (zero new quantised
-    /// builds for overlapping probes — observable in
-    /// [`IslSession::store_stats`]).
+    /// Every probe is a light error measurement — the bit-true co-simulated
+    /// cone levels against the exact reference, the numbers
+    /// [`IslSession::certify`] records, bit for bit — stored per format.
+    /// Only the chosen format is certified in full, and its certificate
+    /// must reproduce its probe exactly. A warm re-search with the same
+    /// budget serves the stored outcome; a *different* budget re-drives the
+    /// binary search over the stored measurements, measuring only new
+    /// formats (observable in [`IslSession::store_stats`]).
     ///
     /// `device` anchors the area axis: the outcome reports the synthesised
     /// LUT area of `arch` at the chosen format vs. the session's default
@@ -1019,8 +1015,9 @@ impl IslSession {
     /// # Errors
     ///
     /// [`FlowError::Format`] when the budget is malformed or no format up
-    /// to `budget.max_width` bits meets it; [`FlowError::Verification`] /
-    /// [`FlowError::Simulation`] when a probe itself fails to certify.
+    /// to `budget.max_width` bits meets it; [`FlowError::Simulation`] when
+    /// a probe cannot run; [`FlowError::Verification`] when the chosen
+    /// format fails to certify or its certificate disagrees with its probe.
     pub fn search_format(
         &self,
         device: &Device,
@@ -1032,20 +1029,13 @@ impl IslSession {
         budget
             .validate()
             .map_err(|e| e.at(Stage::FormatSearch, None))?;
-        let run_key = RunKey::new(
-            self.spec.fingerprint,
-            init,
-            self.spec.synth_options.format,
-            self.spec.border,
-            self.spec.iterations,
-            arch.window,
-            arch.depth,
-        );
-        let key = SearchKey::new(run_key, arch.cores, device, &self.spec.synth_options, &budget);
+        let run_key = self.run_key(init, arch);
+        let opts = &self.spec.synth_options;
+        let key = SearchKey::new(run_key.clone(), arch.cores, device, opts, &budget);
         let artifact = key.describe();
         let outcome = self
             .store
-            .format_search(key, || self.search_format_cold(device, init, arch, budget))
+            .format_search(key, || self.search_format_cold(device, init, arch, budget, run_key))
             .map_err(|e| e.at(Stage::FormatSearch, Some(&artifact)))?;
         Ok(FormatSearched {
             session: self.clone(),
@@ -1054,96 +1044,78 @@ impl IslSession {
     }
 
     /// The cold path of [`IslSession::search_format`] — runs the actual
-    /// probes. Individual probe certificates, golden vectors and synthesis
-    /// reports still come from (and land in) the shared store, which is
-    /// what makes a re-search with a different budget incremental.
+    /// probes. Measurements (keyed by `run_key` at each probed format), the
+    /// chosen certificate and the synthesis reports come from (and land in)
+    /// the shared store, which makes a different-budget re-search cheap.
     fn search_format_cold(
         &self,
         device: &Device,
         init: &FrameSet,
         arch: Architecture,
         budget: ErrorBudget,
+        run_key: RunKey,
     ) -> Result<FormatSearchOutcome, FlowError> {
         // Dynamic range of the exact run fixes the starting integer bits:
         // the smallest signed integer field covering every input and output
         // sample, plus one headroom bit for intermediate growth inside a
-        // cone. The reference pair lands in the store, where every probe's
-        // certification reuses it.
+        // cone. The reference pair lands in the store, where every probe
+        // and the chosen format's certification reuse it.
         let refs = self.reference_runs(init, arch.window, arch.depth)?;
-        let golden = &refs.0;
-        let mut maxabs = 0.0f64;
-        for fs in [init, golden] {
-            for frame in fs.frames().iter() {
-                for &v in frame.as_slice() {
-                    if v.is_finite() {
-                        maxabs = maxabs.max(v.abs());
-                    }
-                }
-            }
-        }
+        let maxabs = [init, &refs.0]
+            .iter()
+            .flat_map(|fs| fs.frames().iter().flat_map(|f| f.as_slice()))
+            .filter(|v| v.is_finite())
+            .fold(0.0f64, |m, v| m.max(v.abs()));
         let mut int_bits = 2u32;
         while int_bits < budget.max_width && (1u128 << (int_bits - 1)) as f64 <= maxabs {
             int_bits += 1;
         }
         int_bits = (int_bits + 1).clamp(2, budget.max_width.saturating_sub(1).max(1));
 
+        // Every probe is a light measurement — the co-simulated cone levels
+        // against the exact cone-DAG reference, the numbers `certify`
+        // records, bit for bit — over the store's cones, compiled fold-free
+        // once for all probes and the saturation gate.
+        let (window, depth, iters) = (arch.window, arch.depth, self.spec.iterations);
+        let params: Vec<f64> = self.spec.pattern.params().iter().map(|p| p.default).collect();
+        let mut shapes: Vec<(u32, CompiledCone)> = Vec::new();
+        for d in std::iter::once(depth).chain(level_depths(iters, depth)) {
+            if !shapes.iter().any(|(sd, _)| *sd == d) {
+                let cone = self.cone_at(Stage::FormatSearch, window, d)?;
+                shapes.push((d, CompiledCone::compile_with(&cone, &params, false)));
+            }
+        }
+        let programs: Vec<(u32, &CompiledCone)> = shapes.iter().map(|(d, cc)| (*d, cc)).collect();
         let mut probes: Vec<FormatProbe> = Vec::new();
         let probe = |fmt: FixedFormat| -> Result<FormatProbe, FlowError> {
             let _span = isl_telemetry::span!("search", "probe {}", fmt);
-            let certified = self.clone().with_format(fmt).certify(init, arch)?;
-            let c = certified.certificate();
+            let key = RunKey { format: fmt, ..run_key.clone() };
+            let (max_abs_error, rms_error) = *self.store.measurement(key, || {
+                let fixed = CoSimulator::new(&self.spec.pattern, fmt)?
+                    .with_border(self.spec.border)
+                    .run_cone_levels_with(init, iters, window, depth, &programs)?
+                    .dequantize(fmt);
+                let quant = isl_cosim::error_metrics(&refs.1, &fixed);
+                Ok::<_, FlowError>((quant.max_abs, quant.rms))
+            })?;
             Ok(FormatProbe {
                 format: fmt,
-                max_abs_error: c.max_quant_error,
-                rms_error: c.rms_quant_error,
-                within_budget: budget.admits(c.max_quant_error, c.rms_quant_error),
+                max_abs_error,
+                rms_error,
+                within_budget: budget.admits(max_abs_error, rms_error),
             })
         };
 
-        // Static saturation gate (`isl-analyze`): the fold-free cone
-        // program of this decomposition — the exact instruction set the
-        // bit-true engines execute — abstractly interpreted per candidate
-        // format over the measured value box. `may_saturate == false` is a
-        // proof; `true` flags the escalation probe as statically doomed,
-        // and the probe is then served by `light_probe`, which measures
-        // only the quantisation error the probe reports — the same
-        // `run_cone_levels` + `error_metrics` numbers `certify` records,
-        // bit-identically — and skips the full certification (quantised
-        // engine cross-checks, golden vectors, testbench). The verdict
-        // only ever picks between two bit-identical ways of computing the
-        // probe, so an over- or under-approximate gate costs work, never
-        // correctness.
-        let sat_gate = if self.spec.static_analysis {
-            let cone = self.cone_at(Stage::FormatSearch, arch.window, arch.depth)?;
-            let params: Vec<f64> =
-                self.spec.pattern.params().iter().map(|p| p.default).collect();
-            Some(CompiledCone::compile_with(&cone, &params, false))
-        } else {
-            None
-        };
-        let may_saturate = |fmt: FixedFormat| -> bool {
-            sat_gate.as_ref().is_some_and(|cc| {
-                let input =
-                    isl_analyze::WordRange::new(fmt.quantize(-maxabs), fmt.quantize(maxabs));
-                isl_analyze::Analysis::of_cone(cc, fmt, input)
-                    .map(|a| a.may_saturate())
-                    .unwrap_or(false)
-            })
-        };
-        let light_probe = |fmt: FixedFormat| -> Result<FormatProbe, FlowError> {
-            let _span = isl_telemetry::span!("search", "light probe {}", fmt);
-            let cosim =
-                CoSimulator::new(&self.spec.pattern, fmt)?.with_border(self.spec.border);
-            let fixed = cosim
-                .run_cone_levels(init, self.spec.iterations, arch.window, arch.depth)?
-                .dequantize(fmt);
-            let quant = isl_cosim::error_metrics(&refs.1, &fixed);
-            Ok(FormatProbe {
-                format: fmt,
-                max_abs_error: quant.max_abs,
-                rms_error: quant.rms,
-                within_budget: budget.admits(quant.max_abs, quant.rms),
-            })
+        // Static saturation gate (`isl-analyze`): the main cone's program
+        // abstractly interpreted per escalation format over the measured
+        // value box. `may_saturate == false` is a proof; a flagged probe
+        // that also misses the budget is counted in
+        // `StoreStats::analysis_pruned_probes`. The gate only labels.
+        let may_saturate = |fmt: FixedFormat| {
+            let input = isl_analyze::WordRange::new(fmt.quantize(-maxabs), fmt.quantize(maxabs));
+            self.spec.static_analysis
+                && isl_analyze::Analysis::of_cone(programs[0].1, fmt, input)
+                    .is_ok_and(|a| a.may_saturate())
         };
 
         // Widest candidate at the current integer width. When even the
@@ -1153,17 +1125,13 @@ impl IslSession {
         // bits cannot buy back) — trade fractional for integer bits and
         // retry while that keeps helping. A failure that escalation does
         // not improve is quantisation-limited: the budget is unreachable
-        // at this width cap, and further escalations would only certify
+        // at this width cap, and further escalations would only measure
         // strictly worse formats.
         let mut escalations = 0;
         let unreachable_budget = |probes: &[FormatProbe]| -> FlowError {
             let best = probes
                 .iter()
-                .min_by(|a, b| {
-                    a.max_abs_error
-                        .partial_cmp(&b.max_abs_error)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
+                .min_by(|a, b| a.max_abs_error.total_cmp(&b.max_abs_error))
                 .expect("at least one probe ran");
             FlowError::Format(format!(
                 "no certifiable format up to {} bits meets the budget \
@@ -1179,26 +1147,11 @@ impl IslSession {
         };
         loop {
             let fmt_w = FixedFormat::new(budget.max_width, budget.max_width - int_bits);
-            // A statically may-saturating escalation width gets the light
-            // probe; when it fails the budget (the overwhelmingly common
-            // outcome the proof predicts) the full certification was pure
-            // waste and is skipped — counted in
-            // `StoreStats::analysis_pruned_probes`. The rare flagged probe
-            // that still lands in budget re-runs in full, preserving the
-            // invariant that every passing probe holds a store-served
-            // certificate.
-            let p = if may_saturate(fmt_w) {
-                let lp = light_probe(fmt_w)?;
-                if lp.within_budget {
-                    probe(fmt_w)?
-                } else {
-                    self.store.note_pruned_probe();
-                    isl_telemetry::add("search.pruned_probes", 1);
-                    lp
-                }
-            } else {
-                probe(fmt_w)?
-            };
+            let p = probe(fmt_w)?;
+            if !p.within_budget && may_saturate(fmt_w) {
+                self.store.note_pruned_probe();
+                isl_telemetry::add("search.pruned_probes", 1);
+            }
             // Strictly worse than the previous widest probe: the lost
             // fractional bit cost more than the gained integer bit bought —
             // quantisation-limited, stop. (Saturation-limited escalations
@@ -1232,15 +1185,14 @@ impl IslSession {
                 lo = mid + 1;
             }
         }
-        let chosen = FixedFormat::new(int_bits + hi, hi);
-        // `hi` is always a probed, passing frac, so this certify is served
-        // from the store.
-        let certificate = Arc::clone(
-            self.clone()
-                .with_format(chosen)
-                .certify(init, arch)?
-                .certificate(),
-        );
+        // The last passing probe is the chosen format (frac `hi`). It alone
+        // is certified in full, and must reproduce its probe's errors.
+        let chosen_probe = *probes.iter().rev().find(|p| p.within_budget).expect("a probe passed");
+        let chosen = chosen_probe.format;
+        debug_assert_eq!(chosen, FixedFormat::new(int_bits + hi, hi));
+        let certified = self.clone().with_format(chosen).certify(init, arch)?;
+        let certificate = Arc::clone(certified.certificate());
+        check_chosen_probe(&chosen_probe, &certificate)?;
 
         // The area axis: synthesise `arch` at the chosen and the default
         // format through the width-parameterised techmap (reports come
@@ -1264,6 +1216,25 @@ impl IslSession {
             certificate,
         })
     }
+}
+
+/// The format search's production check: the chosen format's full
+/// certificate must record, bit for bit, the quantisation error its light
+/// probe measured — otherwise the probes that steered the search did not
+/// measure what certification ships.
+fn check_chosen_probe(
+    probe: &FormatProbe,
+    certificate: &ArchitectureCertificate,
+) -> Result<(), FlowError> {
+    let measured = [certificate.max_quant_error, certificate.rms_quant_error];
+    if measured.map(f64::to_bits) == [probe.max_abs_error, probe.rms_error].map(f64::to_bits) {
+        return Ok(());
+    }
+    Err(FlowError::Verification(format!(
+        "format search: {} certified at (max-abs, rms) {measured:?}, probed at {:?}",
+        probe.format,
+        [probe.max_abs_error, probe.rms_error]
+    )))
 }
 
 // ---------------------------------------------------------------------------
@@ -1661,16 +1632,17 @@ impl ErrorBudget {
     }
 }
 
-/// One probed format of a search: the measured error of its certified run
-/// and the budget verdict. Probes are recorded in probe order (widest
-/// first, then the binary-search sequence).
+/// One probed format of a search: the measured error of its co-simulated
+/// run (what certification at that format records) and the budget verdict.
+/// Probes are recorded in probe order (widest first, then the
+/// binary-search sequence).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FormatProbe {
     /// The probed format.
     pub format: FixedFormat,
-    /// Measured max-abs error of the certified run at this format.
+    /// Measured max-abs error of the co-simulated run at this format.
     pub max_abs_error: f64,
-    /// Measured RMS error of the certified run at this format.
+    /// Measured RMS error of the co-simulated run at this format.
     pub rms_error: f64,
     /// Whether this format meets the budget.
     pub within_budget: bool,
@@ -1750,5 +1722,31 @@ impl FormatSearched {
     /// searched word.
     pub fn session(&self) -> IslSession {
         self.session.clone().with_format(self.outcome.chosen)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The chosen-format check passes a probe that matches its certificate
+    /// and rejects one doctored by a single ulp on either error axis.
+    #[test]
+    fn chosen_probe_check_rejects_a_doctored_probe() {
+        let session = IslSession::from_algorithm(&isl_algorithms::gaussian_igf()).unwrap();
+        let init = FrameSet::from_frames(vec![isl_sim::synthetic::noise(12, 10, 3)]).unwrap();
+        let certified = session.certify(&init, Architecture::new(Window::square(4), 2, 1));
+        let cert = certified.unwrap().certificate().clone();
+        let (max_abs_error, rms_error) = (cert.max_quant_error, cert.rms_quant_error);
+        let probe = FormatProbe { format: cert.format, max_abs_error, rms_error, within_budget: true };
+        check_chosen_probe(&probe, &cert).unwrap();
+        let bump = |x: f64| f64::from_bits(x.to_bits() + 1);
+        for doctored in [
+            FormatProbe { max_abs_error: bump(probe.max_abs_error), ..probe },
+            FormatProbe { rms_error: bump(probe.rms_error), ..probe },
+        ] {
+            let err = check_chosen_probe(&doctored, &cert).unwrap_err();
+            assert!(matches!(err, FlowError::Verification(_)), "{err}");
+        }
     }
 }

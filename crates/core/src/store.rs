@@ -2,9 +2,9 @@
 //!
 //! Every expensive artifact of the pipeline — built [`Cone`]s, compiled
 //! bytecode programs, calibration synthesis reports, DSE calibrations,
-//! co-simulation golden vectors, whole architecture certificates and
-//! precision format-search outcomes — is
-//! keyed by its **content**: the pattern's structural fingerprint plus
+//! co-simulation golden vectors, whole architecture certificates,
+//! format-search probe measurements and precision format-search outcomes —
+//! is keyed by its **content**: the pattern's structural fingerprint plus
 //! every input that can change the value (shape, options, device, frame
 //! bits). All the underlying producers are deterministic, so a stored
 //! artifact is bit-identical to what a cold recompute would produce
@@ -339,10 +339,15 @@ pub struct StoreStats {
     /// Architecture certificates.
     pub certificates: CacheStats,
     /// Format-independent `f64` reference-run pairs (golden + exact
-    /// cone-DAG) shared by every certification of one decomposition.
+    /// cone-DAG) shared by every probe measurement and certification of
+    /// one decomposition.
     pub references: CacheStats,
     /// Precision format-search outcomes.
     pub searches: CacheStats,
+    /// Format-search probe measurements: the `(max-abs, rms)` quantisation
+    /// error of one decomposition at one format. In memory only — a warm
+    /// search with the same budget is served by the persisted `searches`.
+    pub measurements: CacheStats,
     /// Artifacts served from the persistent disk tier (decoded, not
     /// recomputed). Zero when the store has no disk tier.
     pub disk_hits: usize,
@@ -355,11 +360,11 @@ pub struct StoreStats {
     pub load_skipped_corrupt: usize,
     /// Size of the persistent store file at the last load or flush, bytes.
     pub bytes_on_disk: u64,
-    /// Format-search escalation probes whose full certification was
-    /// skipped because the `isl-analyze` abstract interpreter proved the
-    /// width statically may-saturating and the cheap error measurement
-    /// confirmed the budget miss. Probe results stay bit-identical; this
-    /// counts avoided work only.
+    /// Format-search escalation probes that the `isl-analyze` abstract
+    /// interpreter flagged as statically may-saturating and whose error
+    /// measurement confirmed the budget miss. Every probe is a light error
+    /// measurement and only the chosen format is certified, so this labels
+    /// probes the static analysis predicted to fail; it changes no result.
     pub analysis_pruned_probes: usize,
 }
 
@@ -374,6 +379,7 @@ impl StoreStats {
             + self.certificates.misses
             + self.references.misses
             + self.searches.misses
+            + self.measurements.misses
     }
 
     /// Total lookups served from the store across every kind.
@@ -386,6 +392,7 @@ impl StoreStats {
             + self.certificates.hits
             + self.references.hits
             + self.searches.hits
+            + self.measurements.hits
     }
 
     /// Misses of the artifact kinds a *quantised build* produces — compiled
@@ -398,7 +405,7 @@ impl StoreStats {
 
     /// `(kind name, counters)` rows in declaration order — the iteration
     /// the `Display` impl and the telemetry run report share.
-    pub fn rows(&self) -> [(&'static str, CacheStats); 8] {
+    pub fn rows(&self) -> [(&'static str, CacheStats); 9] {
         [
             ("cones", self.cones),
             ("programs", self.programs),
@@ -408,6 +415,7 @@ impl StoreStats {
             ("certificates", self.certificates),
             ("references", self.references),
             ("searches", self.searches),
+            ("measurements", self.measurements),
         ]
     }
 }
@@ -460,6 +468,7 @@ pub struct ArtifactStore {
     certificates: CacheMap<(RunKey, u32), ArchitectureCertificate>,
     references: CacheMap<RefKey, (FrameSet, FrameSet)>,
     searches: CacheMap<SearchKey, FormatSearchOutcome>,
+    measurements: CacheMap<RunKey, (f64, f64)>,
     disk: Option<DiskTier>,
     /// See [`StoreStats::analysis_pruned_probes`].
     pruned_probes: AtomicUsize,
@@ -632,7 +641,8 @@ impl ArtifactStore {
     }
 
     /// The `(whole-frame golden, exact cone-DAG)` reference pair of one
-    /// decomposition — shared by every certification probing it.
+    /// decomposition — shared by every format-search probe measurement and
+    /// every certification of it.
     pub(crate) fn reference_runs<E>(
         &self,
         key: RefKey,
@@ -661,6 +671,17 @@ impl ArtifactStore {
         })
     }
 
+    /// The `(max-abs, rms)` quantisation error of one format-search probe
+    /// (`key` carries the probed format). Never persisted: measurements
+    /// are cheap next to the certificates and searches the disk tier keeps.
+    pub(crate) fn measurement<E>(
+        &self,
+        key: RunKey,
+        build: impl FnOnce() -> Result<(f64, f64), E>,
+    ) -> Result<Arc<(f64, f64)>, E> {
+        self.measurements.get_or_build(key, || build().map(|m| (m, true)))
+    }
+
     /// Snapshot every hit/miss counter (disk tier included).
     pub fn stats(&self) -> StoreStats {
         let disk = self.disk.as_ref().map(DiskTier::stats).unwrap_or_default();
@@ -673,6 +694,7 @@ impl ArtifactStore {
             certificates: self.certificates.stats(),
             references: self.references.stats(),
             searches: self.searches.stats(),
+            measurements: self.measurements.stats(),
             disk_hits: disk.hits as usize,
             disk_misses: disk.misses as usize,
             load_skipped_corrupt: disk.skipped_corrupt as usize,
@@ -681,8 +703,8 @@ impl ArtifactStore {
         }
     }
 
-    /// Count one escalation probe whose full certification the static
-    /// analyzer's saturation proof made skippable.
+    /// Count one escalation probe the static analyzer flagged as
+    /// may-saturating that also missed the budget.
     pub(crate) fn note_pruned_probe(&self) {
         self.pruned_probes.fetch_add(1, Ordering::Relaxed);
     }

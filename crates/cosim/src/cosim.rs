@@ -419,8 +419,35 @@ impl<'p> CoSimulator<'p> {
         window: Window,
         depth: u32,
     ) -> Result<IntFrameSet, CosimError> {
-        let (state, _) = self.cone_levels_impl(init, iterations, window, depth, false)?;
-        Ok(state)
+        self.check_levels(init, depth)?;
+        let shapes = self.level_shapes(iterations, window, depth)?;
+        let programs: Vec<_> = shapes.iter().map(|(d, _, cc)| (*d, cc)).collect();
+        self.run_cone_levels_with(init, iterations, window, depth, &programs)
+    }
+
+    /// [`CoSimulator::run_cone_levels`] over prebuilt shapes: `programs`
+    /// holds, for every distinct level depth of the decomposition, the
+    /// fold-free program of that cone — `CompiledCone::compile_with(&cone,
+    /// params, false)` with this co-simulator's parameter values, the
+    /// program [`CoSimulator::run_cone_levels`] compiles itself. Compiled
+    /// programs are format-independent, so a caller measuring one
+    /// decomposition at many formats builds and compiles each shape once;
+    /// the result is bit-identical to [`CoSimulator::run_cone_levels`].
+    ///
+    /// # Errors
+    ///
+    /// Same as [`CoSimulator::run_cone_levels`], plus [`CosimError::Cone`]
+    /// when `programs` lacks one of the decomposition's level depths.
+    pub fn run_cone_levels_with(
+        &self,
+        init: &FrameSet,
+        iterations: u32,
+        window: Window,
+        depth: u32,
+        programs: &[(u32, &CompiledCone)],
+    ) -> Result<IntFrameSet, CosimError> {
+        self.check_levels(init, depth)?;
+        self.walk_levels(init, iterations, window, depth, programs, |_, _, _, _, _| {})
     }
 
     /// Run the cone-architecture decomposition and record every cone firing
@@ -442,64 +469,97 @@ impl<'p> CoSimulator<'p> {
         depth: u32,
     ) -> Result<Vec<VectorFile>, CosimError> {
         let _span = isl_telemetry::span("cosim", "golden vectors");
-        let (_, files) = self.cone_levels_impl(init, iterations, window, depth, true)?;
+        self.check_levels(init, depth)?;
+        let shapes = self.level_shapes(iterations, window, depth)?;
+        let mut files: Vec<VectorFile> = shapes
+            .iter()
+            .map(|(d, cone, _)| {
+                let (ports_in, ports_out) = cone_ports(cone);
+                VectorFile {
+                    entity: codegen::entity_name(cone),
+                    format: self.fmt,
+                    window,
+                    depth: *d,
+                    ports_in,
+                    ports_out,
+                    records: Vec::new(),
+                }
+            })
+            .collect();
+        let programs: Vec<_> = shapes.iter().map(|(d, _, cc)| (*d, cc)).collect();
+        self.walk_levels(
+            init,
+            iterations,
+            window,
+            depth,
+            &programs,
+            |shape, level, tile, read, response| {
+                let file = &mut files[shape];
+                let stimulus =
+                    stimulus_words(&shapes[shape].1, &file.ports_in, &self.params, self.fmt, read);
+                file.records.push(VectorRecord {
+                    level,
+                    tile,
+                    stimulus,
+                    response: response.to_vec(),
+                });
+            },
+        )?;
         Ok(files)
     }
 
-    fn cone_levels_impl(
+    /// The preconditions of every cone-level run.
+    fn check_levels(&self, init: &FrameSet, depth: u32) -> Result<(), CosimError> {
+        self.check(init)?;
+        if depth == 0 {
+            return Err(CosimError::Cone("cone depth must be at least 1".into()));
+        }
+        Ok(())
+    }
+
+    /// One `(depth, cone, fold-free program)` per distinct level depth of
+    /// the decomposition, in order of first use.
+    fn level_shapes(
+        &self,
+        iterations: u32,
+        window: Window,
+        depth: u32,
+    ) -> Result<Vec<(u32, Cone, CompiledCone)>, CosimError> {
+        let mut shapes: Vec<(u32, Cone, CompiledCone)> = Vec::new();
+        for d in isl_sim::level_depths(iterations, depth) {
+            if !shapes.iter().any(|(sd, _, _)| *sd == d) {
+                let cone = Cone::build(self.pattern, window, d)?;
+                let cc = CompiledCone::compile_with(&cone, &self.params, false);
+                shapes.push((d, cone, cc));
+            }
+        }
+        Ok(shapes)
+    }
+
+    /// Walk the decomposition level by level over `programs`, calling
+    /// `fire(shape, level, tile, read, response)` after every cone firing
+    /// (`shape` indexes `programs`; `read` resolves the firing's inputs).
+    fn walk_levels(
         &self,
         init: &FrameSet,
         iterations: u32,
         window: Window,
         depth: u32,
-        record: bool,
-    ) -> Result<(IntFrameSet, Vec<VectorFile>), CosimError> {
-        self.check(init)?;
-        if depth == 0 {
-            return Err(CosimError::Cone("cone depth must be at least 1".into()));
-        }
+        programs: &[(u32, &CompiledCone)],
+        mut fire: impl FnMut(usize, u32, (i64, i64), &dyn Fn(u16, i32, i32) -> i64, &[i64]),
+    ) -> Result<IntFrameSet, CosimError> {
         // The paper's decomposition — shared with the quantised engines so
         // co-simulated levels correspond to simulated levels exactly.
         let level_plan = isl_sim::level_depths(iterations, depth);
-        struct Shape {
-            cone: Cone,
-            cc: CompiledCone,
-            ports_in: Vec<String>,
-            file: VectorFile,
-        }
-        let mut shapes: Vec<(u32, Shape)> = Vec::new();
         let mut state = IntFrameSet::quantize(init, self.fmt);
         let (w, h) = (state.width as i64, state.height as i64);
         let (tw, th) = (window.w as i64, window.h as i64);
         for (li, &d) in level_plan.iter().enumerate() {
-            if !shapes.iter().any(|(sd, _)| *sd == d) {
-                let cone = Cone::build(self.pattern, window, d)?;
-                let cc = CompiledCone::compile_with(&cone, &self.params, false);
-                let (ports_in, ports_out) = cone_ports(&cone);
-                let file = VectorFile {
-                    entity: codegen::entity_name(&cone),
-                    format: self.fmt,
-                    window,
-                    depth: d,
-                    ports_in: ports_in.clone(),
-                    ports_out,
-                    records: Vec::new(),
-                };
-                shapes.push((
-                    d,
-                    Shape {
-                        cone,
-                        cc,
-                        ports_in,
-                        file,
-                    },
-                ));
-            }
-            let shape = &mut shapes
-                .iter_mut()
-                .find(|(sd, _)| *sd == d)
-                .expect("shape built above")
-                .1;
+            let shape = programs
+                .iter()
+                .position(|(pd, _)| *pd == d)
+                .ok_or_else(|| CosimError::Cone(format!("no compiled program for depth {d}")))?;
+            let cc = programs[shape].1;
             let mut next = state.clone();
             let mut ty = 0;
             while ty < h {
@@ -514,23 +574,9 @@ impl<'p> CoSimulator<'p> {
                             self.fmt,
                         )
                     };
-                    let (outs, _) = eval_cone_raw_traced(&shape.cc, self.fmt, read, self.fault);
-                    if record {
-                        let stimulus = stimulus_words(
-                            &shape.cone,
-                            &shape.ports_in,
-                            &self.params,
-                            self.fmt,
-                            &read,
-                        );
-                        shape.file.records.push(VectorRecord {
-                            level: li as u32,
-                            tile: (tx, ty),
-                            stimulus,
-                            response: outs.clone(),
-                        });
-                    }
-                    for (slot, v) in shape.cc.outputs().iter().zip(&outs) {
+                    let (outs, _) = eval_cone_raw_traced(cc, self.fmt, read, self.fault);
+                    fire(shape, li as u32, (tx, ty), &read, &outs);
+                    for (slot, v) in cc.outputs().iter().zip(&outs) {
                         let (ax, ay) = (tx + i64::from(slot.px), ty + i64::from(slot.py));
                         if ax < w && ay < h {
                             next.frames[slot.field as usize][(ay * w + ax) as usize] = *v;
@@ -542,8 +588,7 @@ impl<'p> CoSimulator<'p> {
             }
             state = next;
         }
-        let files = shapes.into_iter().map(|(_, s)| s.file).collect();
-        Ok((state, files))
+        Ok(state)
     }
 
     /// Locate the first diverging firing of `file` against the clean
@@ -670,7 +715,7 @@ fn stimulus_words<R>(
     read: &R,
 ) -> Vec<i64>
 where
-    R: Fn(u16, i32, i32) -> i64,
+    R: Fn(u16, i32, i32) -> i64 + ?Sized,
 {
     let n_params = ports_in
         .iter()

@@ -94,15 +94,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  ...");
 
     // Stage 6 (FormatSearched): shrink the datapath word under an error
-    // budget. The search is gated by `isl-analyze`, an abstract
-    // interpreter over the compiled cone bytecode: before certifying an
-    // escalation width it proves, in the raw fixed-point word domain,
-    // whether that width can saturate on the measured value range. A
-    // bright three-digit input drives the blur's 16x pre-normalisation
-    // sum over the early widths' rails, so those probes are *statically
-    // doomed* — each one's full bit-true certification is replaced by the
-    // range proof plus a light error measurement (bit-identical result,
-    // counted under `analysis pruned probes` below).
+    // budget. Every probe is a light error measurement; only the chosen
+    // format is certified in full. `isl-analyze`, an abstract interpreter
+    // over the compiled cone bytecode, checks each escalation width in the
+    // raw fixed-point word domain for saturation on the measured value
+    // range. A bright three-digit input drives the blur's 16x
+    // pre-normalisation sum over the early widths' rails, so those probes
+    // are *statically doomed*; each that misses the budget is counted
+    // under `analysis pruned probes` below.
     let search_session = IslSession::from_source(KERNEL)?;
     let bright = FrameSet::from_frames(vec![Frame::from_fn(20, 14, |x, y| {
         100.0 + ((x * 7 + y * 13) % 100) as f64
@@ -112,7 +111,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         search_session.search_format(&device, &bright, arch, ErrorBudget::max_abs(1e-3))?;
     let search_stats = search_session.store_stats();
     println!(
-        "\n== format search on bright input: {} after {} probes ({} certify probes pruned by saturation proofs) ==",
+        "\n== format search on bright input: {} after {} probes ({} flagged by saturation proofs) ==",
         searched.format(),
         searched.probes().len(),
         search_stats.analysis_pruned_probes,

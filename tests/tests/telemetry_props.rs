@@ -235,6 +235,7 @@ fn full_run_report_covers_all_stages() {
         "certificates",
         "references",
         "searches",
+        "measurements",
     ] {
         assert!(caches.get(kind).is_some(), "caches.{kind} missing");
     }
