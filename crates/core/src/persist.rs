@@ -493,6 +493,8 @@ impl DiskTier {
         self.store.stats()
     }
 
+    /// Flush the disk store (an appended segment, or a compaction);
+    /// returns the bytes written.
     pub(crate) fn flush(&self) -> Result<u64, FlowError> {
         let _span = isl_telemetry::span("persist", "flush");
         let report = self.store.flush().map_err(FlowError::from)?;
@@ -500,6 +502,7 @@ impl DiskTier {
             isl_telemetry::add("store.disk.flush_records", report.records as u64);
             isl_telemetry::add("store.disk.flush_bytes", report.bytes);
             isl_telemetry::add("store.disk.evicted", report.evicted as u64);
+            isl_telemetry::add("store.disk.compactions", u64::from(report.compacted));
         }
         Ok(report.bytes)
     }

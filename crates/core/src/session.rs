@@ -414,14 +414,18 @@ impl IslSession {
         self
     }
 
-    /// Durably flush the persistent store now (atomic write-then-rename;
-    /// readers of the file never observe a partial write). Returns the
-    /// bytes written — 0 when the store is clean or purely in-memory.
+    /// Durably flush the persistent store now: append what changed since
+    /// the last checkpoint to the record file, or compact the file by
+    /// atomic write-then-rename when it must be rewritten (see
+    /// [`ArtifactStore::checkpoint`]). A crash mid-append costs at most
+    /// the one torn record at the file's tail, which the next open skips
+    /// and counts. Returns the bytes written — 0 when the store is clean
+    /// or purely in-memory.
     ///
     /// # Errors
     ///
-    /// [`FlowError::Io`] from the underlying write or rename; the previous
-    /// file is untouched on failure.
+    /// [`FlowError::Io`] from the underlying append, write or rename; a
+    /// failed compaction leaves the previous file untouched.
     pub fn checkpoint(&self) -> Result<u64, FlowError> {
         self.store.checkpoint()
     }

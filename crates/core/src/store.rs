@@ -358,7 +358,9 @@ pub struct StoreStats {
     /// plus payloads that failed their codec. Corruption degrades to a
     /// cold build, never a panic.
     pub load_skipped_corrupt: usize,
-    /// Size of the persistent store file at the last load or flush, bytes.
+    /// Size of the persistent store file at the last load or flush, bytes
+    /// (appended segments included, so superseded records count until the
+    /// next compaction).
     pub bytes_on_disk: u64,
     /// Format-search escalation probes that the `isl-analyze` abstract
     /// interpreter flagged as statically may-saturating and whose error
@@ -456,8 +458,9 @@ impl std::fmt::Display for StoreStats {
 /// carries a **disk tier**: on a memory miss the persistent record file is
 /// consulted first (a decoded artifact is a `disk_hit`, not a build), cold
 /// builds are written back, and [`ArtifactStore::checkpoint`] — also run
-/// on drop — publishes the file atomically. Corrupt records degrade to
-/// cold builds with counted skips, never a panic.
+/// on drop — makes them durable by appending them to the file (or, now
+/// and then, compacting it by atomic write-then-rename). Corrupt records
+/// degrade to cold builds with counted skips, never a panic.
 #[derive(Debug, Default)]
 pub struct ArtifactStore {
     cones: ConeCache,
@@ -514,8 +517,9 @@ impl ArtifactStore {
         Ok(store)
     }
 
-    /// Cap the persistent file size, in bytes; checkpoints evict the
-    /// least-recently-used records down to the budget before writing.
+    /// Cap the persistent file size, in bytes; a checkpoint whose append
+    /// would exceed it compacts instead, evicting the least-recently-used
+    /// records down to the budget.
     /// No-op on a store without a disk tier.
     pub fn with_byte_budget(mut self, byte_budget: u64) -> Self {
         if let Some(tier) = self.disk.take() {
@@ -530,14 +534,21 @@ impl ArtifactStore {
     }
 
     /// Flush the disk tier: sync the synthesis-report cache into it and
-    /// publish the record file atomically (write-then-rename). A store
-    /// without a disk tier, or with nothing new, writes nothing. Returns
-    /// the bytes written (0 when clean).
+    /// append every artifact written or disk-hit since the last checkpoint
+    /// to the record file as one segment. The flush compacts instead —
+    /// rewrites the whole file and atomically renames it into place — when
+    /// the file is missing or held corrupt records, the byte budget would
+    /// be exceeded, superseded records would make up over half the file,
+    /// or another writer changed the file (see [`isl_persist::DiskStore::flush`]).
+    /// A store without a disk tier, or with nothing new, writes nothing.
+    /// Returns the bytes written: the appended segment, or the whole file
+    /// when it compacted (0 when clean).
     ///
     /// # Errors
     ///
-    /// [`FlowError::Io`] on filesystem failures; the previous file is
-    /// untouched.
+    /// [`FlowError::Io`] on filesystem failures. A failed compaction leaves
+    /// the previous file untouched; a failed append may leave a torn tail
+    /// record, which the next open skips and counts.
     pub fn checkpoint(&self) -> Result<u64, FlowError> {
         match &self.disk {
             Some(tier) => {

@@ -306,9 +306,10 @@ fn cmd_persist(args: &[String]) -> Result<ExitCode, String> {
     println!("persistence campaign: {iters} iterations, seed {seed:#x}");
     let report = isl_fuzz::run_persist_campaign(iters, seed, budget);
     println!(
-        "  {} round trips, {} version invalidations, {} corrupted loads \
-         ({} records skipped and counted), {} violations",
+        "  {} round trips, {} appended-image round trips, {} version invalidations, \
+         {} corrupted loads ({} records skipped and counted), {} violations",
         report.round_trips,
+        report.appended_round_trips,
         report.invalidations,
         report.attacks,
         report.records_skipped,

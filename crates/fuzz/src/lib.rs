@@ -44,8 +44,10 @@
 //! ## 4. Persistence-format fuzzing
 //!
 //! [`run_persist_campaign`] attacks the `isl-persist` on-disk store
-//! format: random record sets are round-tripped bit-identically, version
-//! bumps must invalidate wholesale, and saved images are corrupted with
+//! format: random record sets are round-tripped bit-identically (as
+//! single images and as a base plus appended segments whose superseding
+//! duplicates must resolve last-write-wins), version bumps must
+//! invalidate wholesale, and saved images are corrupted with
 //! bit flips, garbage runs, truncation and duplicated regions — every
 //! load must *return* (panics are findings), every surviving record must
 //! be one that was really written, and everything else must be counted

@@ -5,26 +5,30 @@
 //!
 //! 1. **Exact round trips** — an image written by
 //!    [`isl_persist::save_bytes`] loads back bit-identically through
-//!    [`isl_persist::load_bytes`], with zero records skipped.
+//!    [`isl_persist::load_bytes`], with zero records skipped; so does an
+//!    image grown by appended segments (what
+//!    [`isl_persist::DiskStore::flush`] leaves on disk), with the last
+//!    write of every key winning.
 //! 2. **Total, honest loads** — *any* byte sequence loads without a
 //!    panic, every surviving record is one that was actually written
 //!    (checksum-verified, never a spliced hybrid), and everything else is
 //!    *counted* as skipped rather than silently dropped.
 //!
 //! [`run_persist_campaign`] turns those promises into a standing
-//! adversarial process: each iteration builds a random record set, checks
-//! the clean round trip, then attacks the image with bit flips, byte
-//! runs of garbage, truncation and duplicated regions, and re-loads. A
-//! violation is caught (panics included, via `catch_unwind`), minimised
-//! by byte-range delta-debugging and reported as a
-//! replayable [`PersistFailure`] — the fixture files under
+//! adversarial process: each iteration builds a random record set as a
+//! single image and as a base plus appended segments with superseding
+//! duplicates, checks the clean round trips, then attacks both images
+//! with bit flips, byte runs of garbage, truncation and duplicated
+//! regions, and re-loads. A violation is caught (panics included, via
+//! `catch_unwind`), minimised by byte-range delta-debugging and reported
+//! as a replayable [`PersistFailure`] — the fixture files under
 //! `tests/corpus/persist/` replay through CI forever after
 //! ([`write_fixtures`] generates the canonical set).
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use isl_persist::{load_bytes, save_bytes, LoadReport, RawRecord};
+use isl_persist::{encode_record, load_bytes, save_bytes, LoadReport, RawRecord};
 
 use crate::rng::Rng;
 
@@ -46,8 +50,11 @@ pub struct PersistFailure {
 pub struct PersistCampaignReport {
     /// Iterations attempted.
     pub iterations: usize,
-    /// Clean images that round-tripped bit-identically.
+    /// Clean single images that round-tripped bit-identically.
     pub round_trips: usize,
+    /// Clean appended images that loaded exactly the last write of every
+    /// key, nothing skipped.
+    pub appended_round_trips: usize,
     /// Corrupted images loaded (each iteration attacks several times).
     pub attacks: usize,
     /// Corrupt records skipped — and counted — across all attacked loads.
@@ -83,25 +90,59 @@ fn random_records(rng: &mut Rng) -> Vec<RawRecord> {
         .collect()
 }
 
-fn by_key(records: &[RawRecord]) -> BTreeMap<(u8, Vec<u8>), Vec<u8>> {
-    records
-        .iter()
-        .map(|r| ((r.kind, r.key.clone()), r.value.clone()))
-        .collect()
+/// Every `(stamp, value)` written under each `(kind, key)`, oldest first.
+pub type Written = BTreeMap<(u8, Vec<u8>), Vec<(u64, Vec<u8>)>>;
+
+fn by_key(records: &[RawRecord]) -> Written {
+    let mut written = Written::new();
+    for r in records {
+        written
+            .entry((r.kind, r.key.clone()))
+            .or_default()
+            .push((r.stamp, r.value.clone()));
+    }
+    written
 }
 
-/// Load `image` and check the corruption contract against the records
-/// that were originally written: the load returns (no panic), and every
-/// survivor is bit-identical to an original record. Returns the load
-/// report on success, a violation message on failure.
+/// A base image of `base` plus one to three appended segments, the shape
+/// an appending store leaves on disk. Each segment rewrites some existing
+/// keys with fresh values and newer stamps (superseding duplicates) and
+/// adds new keys; every record goes through the store's one encoder.
+/// Returns the image and everything written.
+fn appended_image(rng: &mut Rng, base: &[RawRecord]) -> (Vec<u8>, Written) {
+    let mut written = by_key(base);
+    let mut image = save_bytes(FUZZ_APP_VERSION, base);
+    let mut keys: Vec<(u8, Vec<u8>)> = written.keys().cloned().collect();
+    let mut stamp = base.len() as u64;
+    for _ in 0..=rng.below(3) {
+        for _ in 0..=rng.below(4) {
+            let key = if rng.below(2) == 0 {
+                keys[rng.below(keys.len())].clone()
+            } else {
+                // A 0x80-or-above prefix never collides with the index
+                // prefixes of `random_records`, nor with another new key.
+                let key = (rng.below(7) as u8, vec![0x80 | keys.len() as u8, rng.u64() as u8]);
+                keys.push(key.clone());
+                key
+            };
+            let value: Vec<u8> = (0..rng.below(160)).map(|_| rng.u64() as u8).collect();
+            encode_record(&mut image, key.0, stamp, &key.1, &value);
+            written.entry(key).or_default().push((stamp, value));
+            stamp += 1;
+        }
+    }
+    (image, written)
+}
+
+/// Load `image` and check the corruption contract against everything
+/// that was written: the load returns (no panic), and every survivor is
+/// bit-identical — stamp and value — to a record written under its key.
+/// Returns the load report on success, a violation message on failure.
 ///
 /// # Errors
 ///
 /// A human-readable description of the violated invariant.
-pub fn replay_image(
-    image: &[u8],
-    originals: &BTreeMap<(u8, Vec<u8>), Vec<u8>>,
-) -> Result<LoadReport, String> {
+pub fn replay_image(image: &[u8], written: &Written) -> Result<LoadReport, String> {
     let report = catch_unwind(AssertUnwindSafe(|| load_bytes(image, FUZZ_APP_VERSION)))
         .map_err(|p| {
             let msg = p
@@ -112,11 +153,11 @@ pub fn replay_image(
             format!("load_bytes panicked: {msg}")
         })?;
     for r in &report.records {
-        match originals.get(&(r.kind, r.key.clone())) {
-            Some(v) if *v == r.value => {}
+        match written.get(&(r.kind, r.key.clone())) {
+            Some(versions) if versions.iter().any(|(s, v)| (*s, v) == (r.stamp, &r.value)) => {}
             Some(_) => {
                 return Err(format!(
-                    "survivor (kind {}, key {:02x?}) has a value never written",
+                    "survivor (kind {}, key {:02x?}) has a stamp and value never written",
                     r.kind, r.key
                 ))
             }
@@ -198,7 +239,8 @@ fn shrink_image(mut image: Vec<u8>, mut budget: usize, failing: impl Fn(&[u8]) -
 }
 
 /// Run a seeded persistence campaign: `iterations` random record sets,
-/// each round-tripped clean, version-bumped, and attacked with random
+/// each round-tripped clean, version-bumped, grown into an appended image
+/// and round-tripped again, and both images attacked with random
 /// corruption several times. Violations are shrunk (`shrink_budget`
 /// predicate evaluations each; 0 keeps raw images) and reported.
 pub fn run_persist_campaign(
@@ -254,28 +296,63 @@ pub fn run_persist_campaign(
             });
         }
 
-        // 3. Random corruption: survivors must be honest, panics are
-        //    findings.
-        for _ in 0..3 {
-            report.attacks += 1;
-            let mut image = clean.clone();
-            attack(&mut rng, &mut image);
-            match replay_image(&image, &originals) {
-                Ok(r) => report.records_skipped += r.skipped_corrupt,
-                Err(detail) => {
-                    let shrunk = if shrink_budget > 0 {
-                        shrink_image(image.clone(), shrink_budget, |img| {
-                            replay_image(img, &originals).is_err()
-                        })
-                    } else {
-                        image
-                    };
-                    isl_telemetry::add("fuzz.persist.failures", 1);
-                    report.failures.push(PersistFailure {
-                        name: format!("shrunk-{seed:#x}-{i}-corrupt"),
-                        detail,
-                        image: shrunk,
+        // 3. Appended image: the last write of every key wins, nothing
+        //    skipped.
+        let (appended, appended_written) = appended_image(&mut rng, &records);
+        match replay_image(&appended, &appended_written) {
+            Ok(r) => {
+                let last_wins = r.records.len() == appended_written.len()
+                    && r.records.iter().all(|rec| {
+                        appended_written[&(rec.kind, rec.key.clone())].last()
+                            == Some(&(rec.stamp, rec.value.clone()))
                     });
+                if last_wins && r.skipped_corrupt == 0 {
+                    report.appended_round_trips += 1;
+                } else {
+                    report.failures.push(PersistFailure {
+                        name: format!("shrunk-{seed:#x}-{i}-appended"),
+                        detail: format!(
+                            "clean appended image: {} of {} keys, last write wins: {last_wins}, \
+                             {} skipped",
+                            r.records.len(),
+                            appended_written.len(),
+                            r.skipped_corrupt
+                        ),
+                        image: appended.clone(),
+                    });
+                }
+            }
+            Err(detail) => report.failures.push(PersistFailure {
+                name: format!("shrunk-{seed:#x}-{i}-appended"),
+                detail,
+                image: appended.clone(),
+            }),
+        }
+
+        // 4. Random corruption of both images: survivors must be honest,
+        //    panics are findings.
+        for (clean, written) in [(&clean, &originals), (&appended, &appended_written)] {
+            for _ in 0..3 {
+                report.attacks += 1;
+                let mut image = clean.clone();
+                attack(&mut rng, &mut image);
+                match replay_image(&image, written) {
+                    Ok(r) => report.records_skipped += r.skipped_corrupt,
+                    Err(detail) => {
+                        let shrunk = if shrink_budget > 0 {
+                            shrink_image(image.clone(), shrink_budget, |img| {
+                                replay_image(img, written).is_err()
+                            })
+                        } else {
+                            image
+                        };
+                        isl_telemetry::add("fuzz.persist.failures", 1);
+                        report.failures.push(PersistFailure {
+                            name: format!("shrunk-{seed:#x}-{i}-corrupt"),
+                            detail,
+                            image: shrunk,
+                        });
+                    }
                 }
             }
         }
@@ -411,6 +488,7 @@ mod tests {
             a.failures[0].image.len()
         );
         assert_eq!(a.round_trips, 40);
+        assert_eq!(a.appended_round_trips, 40);
         assert_eq!(a.invalidations, 40);
         assert!(a.records_skipped > 0, "no attack ever hit a record");
         let b = run_persist_campaign(40, 0xBADC0DE, 200);

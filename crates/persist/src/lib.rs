@@ -2,7 +2,7 @@
 //!
 //! The flow-level artifact store makes warm work nearly free *within* one
 //! process; this crate is what lets that warmth survive a restart. It is a
-//! deliberately dumb layer: an atomic, corruption-tolerant
+//! deliberately dumb layer: an append-only, corruption-tolerant
 //! `(kind, key) → bytes` record file plus the little-endian
 //! [`ByteWriter`]/[`ByteReader`] primitives the artifact codecs (which
 //! live in `isl-hls`, next to the types they encode) are written with.
@@ -46,22 +46,49 @@
 //! # Corruption tolerance
 //!
 //! [`load_bytes`] never panics on hostile input (the `isl-fuzz persist`
-//! mode bit-flips real files through it). Each record is independently
-//! checksummed and framed by a sync marker: a corrupt record is skipped,
-//! counted in [`LoadReport::skipped_corrupt`], and decoding resynchronises
-//! at the next marker — one flipped byte costs one record, not the file.
+//! mode bit-flips real files through it), and neither does
+//! [`DiskStore::open`], whose index scan runs the same decode loop. Each
+//! record is independently checksummed and framed by a sync marker: a
+//! corrupt record is skipped, counted in [`LoadReport::skipped_corrupt`],
+//! and decoding resynchronises at the next marker — one flipped byte
+//! costs one record, not the file.
 //! Payloads that pass the checksum but later fail their codec are handed
 //! back via [`DiskStore::discard_corrupt`], which counts them the same way.
 //!
-//! # Publication and eviction
+//! # Appended segments and compaction
 //!
-//! [`DiskStore::flush`] writes the whole store to a sibling temp file and
-//! atomically `rename`s it into place — readers observe the old file or
-//! the new one, never a torn write. Within one version, an optional LRU
-//! byte budget ([`DiskStore::with_byte_budget`]) evicts the
-//! least-recently-stamped records at flush time until the encoded file
-//! fits; stamps advance on insertion and on every [`DiskStore::lookup`]
-//! hit.
+//! A [`DiskStore`] is log-structured over this unchanged record format.
+//! [`DiskStore::open`] scans the file once into an offset index,
+//! `(kind, key) → (stamp, offset, len)`; values stay on disk and are read
+//! back and re-verified (magic, length, checksum, kind, key) on lookup.
+//! Inserts and LRU stamp refreshes (stamps advance on insertion and on
+//! every [`DiskStore::lookup`] hit) wait in memory until
+//! [`DiskStore::flush`] **appends** them as one segment — one `write_all`
+//! on an append-mode handle — so a flush costs what it writes, not the
+//! size of the store. A later copy of a key supersedes the earlier one
+//! (the decoder's last-wins rule); the superseded bytes stay behind as
+//! garbage.
+//!
+//! A flush **compacts** instead — writes every live record to a sibling
+//! temp file and atomically `rename`s it into place, so readers observe
+//! the old file or the new one — when:
+//!
+//! * the file is missing, or was opened with corrupt or version-mismatched
+//!   bytes;
+//! * a record was discarded (failed re-verification or its codec);
+//! * the append would exceed the optional LRU byte budget
+//!   ([`DiskStore::with_byte_budget`]) — compaction then evicts the
+//!   least-recently-stamped records until the file fits;
+//! * the file would exceed twice its live bytes (a fixed ratio);
+//! * the file on disk is no longer the file, or the length, this store
+//!   last wrote — another writer replaced or extended it, so appending
+//!   at the remembered offsets would be wrong.
+//!
+//! **A crash mid-append** leaves the file as a prefix of whole segments
+//! plus at most one torn record at its tail. The next open keeps every
+//! whole record, skips the torn tail and counts it in
+//! [`DiskStats::skipped_corrupt`]; that store's next flush compacts it
+//! away. A crash mid-compaction leaves the previous file in place.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -71,6 +98,6 @@ mod store;
 
 pub use bytes::{ByteReader, ByteWriter, DecodeError};
 pub use store::{
-    evict_lru, fnv1a, load_bytes, save_bytes, DiskStats, DiskStore, FlushReport, LoadReport,
-    RawRecord, FILE_MAGIC, FORMAT_VERSION, RECORD_OVERHEAD, REC_MAGIC,
+    encode_record, evict_lru, fnv1a, load_bytes, save_bytes, DiskStats, DiskStore, FlushReport,
+    LoadReport, RawRecord, FILE_MAGIC, FORMAT_VERSION, RECORD_OVERHEAD, REC_MAGIC,
 };

@@ -14,8 +14,9 @@
 //!   everyone else is a hit.
 //! * **Warm across restarts** — calibrations, synthesis reports, golden
 //!   vectors, certificates and format searches are persisted *before* the
-//!   replies go out (answered ⇒ durable), so a restarted (even
-//!   `kill -9`ed) service replays
+//!   replies go out (answered ⇒ durable): each checkpoint appends only
+//!   what the batch wrote to the store file, so its cost does not grow
+//!   with the store. A restarted (even `kill -9`ed) service replays
 //!   an entire explore→certify→search run with *zero* new cone builds,
 //!   pattern compiles or calibration syntheses. The `stats` op exposes
 //!   the counters that prove it ([`RemoteStats::build_misses`]).

@@ -123,21 +123,82 @@ impl Default for Request {
     }
 }
 
+/// Largest `width` or `height` a request may ask for, pixels.
+pub const MAX_FRAME_SIDE: u32 = 4096;
+/// Largest frame (`width × height`) a request may ask for, pixels: a
+/// 1920×1080 frame fits.
+pub const MAX_FRAME_PIXELS: u64 = 1 << 21;
+/// Largest window side (`window`, `max_side`).
+pub const MAX_WINDOW: u32 = 16;
+/// Largest cone depth (`depth`, `max_depth`).
+pub const MAX_DEPTH: u32 = 8;
+/// Largest core count (`cores`, `max_cores`).
+pub const MAX_CORES: u32 = 64;
+/// Widest word the format search may probe (`max_width`): the fixed-point
+/// datapath's limit.
+pub const MAX_WORD_WIDTH: u32 = 64;
+/// `id` and `seed` travel as JSON numbers (doubles), which hold every
+/// integer below 2^53 exactly and no wider range: larger values are
+/// rejected rather than silently rounded.
+pub const MAX_EXACT_INT: u64 = 1 << 53;
+
 fn num(v: &Value, key: &str) -> Option<f64> {
     v.get(key).and_then(Value::as_num)
 }
 
-fn num_u32(v: &Value, key: &str, default: u32) -> u32 {
-    num(v, key).map_or(default, |n| n as u32)
+/// The integer field `key`, or `default` when absent. Anything but a
+/// number holding an integer in `[0, max]` is an error.
+fn int_field(v: &Value, key: &str, default: u64, max: u64) -> Result<u64, String> {
+    let Some(field) = v.get(key) else {
+        return Ok(default);
+    };
+    match field.as_num() {
+        Some(n) if n.fract() == 0.0 && n >= 0.0 && n <= max as f64 => Ok(n as u64),
+        _ => Err(format!("\"{key}\" must be an integer in [0, {max}]")),
+    }
+}
+
+/// [`int_field`] for a `u32` field: `max` is inclusive, and values below
+/// `min` are raised to it.
+fn u32_field(v: &Value, key: &str, default: u32, min: u32, max: u32) -> Result<u32, String> {
+    let n = int_field(v, key, u64::from(default), u64::from(max))?;
+    Ok((n as u32).max(min))
+}
+
+/// The number field `key`, or `default` when absent; `ok` says which
+/// values are acceptable, `what` describes them in the error.
+fn f64_field(
+    v: &Value,
+    key: &str,
+    default: f64,
+    ok: impl Fn(f64) -> bool,
+    what: &str,
+) -> Result<f64, String> {
+    match v.get(key) {
+        None => Ok(default),
+        Some(field) => match field.as_num() {
+            Some(n) if ok(n) => Ok(n),
+            _ => Err(format!("\"{key}\" must be {what}")),
+        },
+    }
 }
 
 impl Request {
-    /// Decode one request line.
+    /// Decode and validate one request line. Absent fields take their
+    /// [`Request::default`] values; sizes below their minimum are raised
+    /// to it (frames to 4 pixels a side, the others to 1).
     ///
     /// # Errors
     ///
     /// A human-readable message on malformed JSON, a missing/unknown `op`,
-    /// or a non-object document.
+    /// a non-object document, or a field outside its bounds: `id` and
+    /// `seed` must be integers below [`MAX_EXACT_INT`]; `width`/`height`
+    /// integers up to [`MAX_FRAME_SIDE`] whose product is at most
+    /// [`MAX_FRAME_PIXELS`]; `window`/`max_side` up to [`MAX_WINDOW`],
+    /// `depth`/`max_depth` up to [`MAX_DEPTH`], `cores`/`max_cores` up to
+    /// [`MAX_CORES`] and `max_width` up to [`MAX_WORD_WIDTH`], all
+    /// integers; `max_abs` finite and positive; `rms` not NaN. A rejected
+    /// request allocates nothing.
     pub fn from_line(line: &str) -> Result<Self, String> {
         let v = parse(line).map_err(|e| format!("bad JSON: {e}"))?;
         if !matches!(v, Value::Obj(_)) {
@@ -149,8 +210,15 @@ impl Request {
             .ok_or("missing \"op\"")?;
         let op = Op::parse(op).ok_or_else(|| format!("unknown op {op:?}"))?;
         let d = Request::default();
+        let width = u32_field(&v, "width", d.width, 4, MAX_FRAME_SIDE)?;
+        let height = u32_field(&v, "height", d.height, 4, MAX_FRAME_SIDE)?;
+        if u64::from(width) * u64::from(height) > MAX_FRAME_PIXELS {
+            return Err(format!(
+                "frame {width}x{height} exceeds {MAX_FRAME_PIXELS} pixels"
+            ));
+        }
         Ok(Request {
-            id: num(&v, "id").map_or(0, |n| n as u64),
+            id: int_field(&v, "id", 0, MAX_EXACT_INT - 1)?,
             op,
             algo: v
                 .get("algo")
@@ -162,18 +230,24 @@ impl Request {
                 .and_then(Value::as_str)
                 .unwrap_or(&d.device)
                 .to_string(),
-            width: num_u32(&v, "width", d.width).max(4),
-            height: num_u32(&v, "height", d.height).max(4),
-            seed: num(&v, "seed").map_or(d.seed, |n| n as u64),
-            max_side: num_u32(&v, "max_side", d.max_side).max(1),
-            max_depth: num_u32(&v, "max_depth", d.max_depth).max(1),
-            max_cores: num_u32(&v, "max_cores", d.max_cores).max(1),
-            window: num_u32(&v, "window", d.window).max(1),
-            depth: num_u32(&v, "depth", d.depth).max(1),
-            cores: num_u32(&v, "cores", d.cores).max(1),
-            max_abs: num(&v, "max_abs").unwrap_or(d.max_abs),
-            rms: num(&v, "rms").unwrap_or(d.rms),
-            max_width: num_u32(&v, "max_width", d.max_width),
+            width,
+            height,
+            seed: int_field(&v, "seed", d.seed, MAX_EXACT_INT - 1)?,
+            max_side: u32_field(&v, "max_side", d.max_side, 1, MAX_WINDOW)?,
+            max_depth: u32_field(&v, "max_depth", d.max_depth, 1, MAX_DEPTH)?,
+            max_cores: u32_field(&v, "max_cores", d.max_cores, 1, MAX_CORES)?,
+            window: u32_field(&v, "window", d.window, 1, MAX_WINDOW)?,
+            depth: u32_field(&v, "depth", d.depth, 1, MAX_DEPTH)?,
+            cores: u32_field(&v, "cores", d.cores, 1, MAX_CORES)?,
+            max_abs: f64_field(
+                &v,
+                "max_abs",
+                d.max_abs,
+                |x| x.is_finite() && x > 0.0,
+                "a finite positive number",
+            )?,
+            rms: f64_field(&v, "rms", d.rms, |x| !x.is_nan(), "a number")?,
+            max_width: u32_field(&v, "max_width", d.max_width, 0, MAX_WORD_WIDTH)?,
         })
     }
 
@@ -343,6 +417,62 @@ mod tests {
         for line in ["", "{", "42", r#"{"op":"launch_missiles"}"#, r#"{"id":1}"#] {
             assert!(Request::from_line(line).is_err(), "{line:?}");
         }
+    }
+
+    fn rejects(line: &str, field: &str) {
+        match Request::from_line(line) {
+            Err(e) => assert!(e.contains(field), "{line}: error {e:?} does not name {field}"),
+            Ok(r) => panic!("{line} accepted as {r:?}"),
+        }
+    }
+
+    #[test]
+    fn ids_and_seeds_must_be_exact_integers() {
+        let top = MAX_EXACT_INT - 1;
+        let req = Request::from_line(&format!(r#"{{"op":"certify","id":{top},"seed":{top}}}"#))
+            .unwrap();
+        assert_eq!((req.id, req.seed), (top, top));
+        for bad in ["9007199254740992", "18446744073709551615", "-1", "1.5", "1e300", "\"7\"", "null"] {
+            rejects(&format!(r#"{{"op":"certify","seed":{bad}}}"#), "seed");
+            rejects(&format!(r#"{{"op":"ping","id":{bad}}}"#), "id");
+        }
+    }
+
+    #[test]
+    fn error_budget_fields_are_validated() {
+        for bad in ["0", "-0.001", "1e999", "-1e999", "\"x\""] {
+            rejects(&format!(r#"{{"op":"search_format","max_abs":{bad}}}"#), "max_abs");
+        }
+        let req = Request::from_line(r#"{"op":"search_format","max_abs":2e-4,"rms":1e999}"#)
+            .unwrap();
+        assert_eq!(req.max_abs, 2e-4);
+        assert!(req.rms.is_infinite(), "an infinite rms means unbounded");
+        rejects(r#"{"op":"search_format","rms":"NaN"}"#, "rms");
+    }
+
+    #[test]
+    fn sizes_have_fixed_upper_bounds() {
+        rejects(r#"{"op":"certify","width":4e9}"#, "width");
+        rejects(&format!(r#"{{"op":"certify","height":{}}}"#, MAX_FRAME_SIDE + 1), "height");
+        rejects(r#"{"op":"certify","width":4096,"height":4096}"#, "pixels");
+        let hd = Request::from_line(r#"{"op":"certify","width":1920,"height":1080}"#).unwrap();
+        assert_eq!((hd.width, hd.height), (1920, 1080));
+        for (field, max) in [
+            ("window", MAX_WINDOW),
+            ("max_side", MAX_WINDOW),
+            ("depth", MAX_DEPTH),
+            ("max_depth", MAX_DEPTH),
+            ("cores", MAX_CORES),
+            ("max_cores", MAX_CORES),
+            ("max_width", MAX_WORD_WIDTH),
+        ] {
+            assert!(Request::from_line(&format!(r#"{{"op":"explore","{field}":{max}}}"#)).is_ok());
+            rejects(&format!(r#"{{"op":"explore","{field}":{}}}"#, max + 1), field);
+            rejects(&format!(r#"{{"op":"explore","{field}":2.5}}"#), field);
+        }
+        // Minimums still clamp from below, as before.
+        let small = Request::from_line(r#"{"op":"certify","width":0,"window":0}"#).unwrap();
+        assert_eq!((small.width, small.window), (4, 1));
     }
 
     #[test]

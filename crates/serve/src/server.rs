@@ -17,7 +17,10 @@
 //! single-flight builds). The persistent stores are checkpointed *before*
 //! the replies go out, so every answered request is durable: a `kill -9`
 //! right after a response still restarts warm, losing at most requests
-//! that never saw an answer.
+//! that never saw an answer. A checkpoint appends the batch's new records
+//! to the store file; a `kill -9` in the middle of that append leaves at
+//! most one torn record of the unanswered batch, which the restart skips,
+//! counts and compacts away.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -88,9 +91,9 @@ struct ServiceState {
 
 impl ServiceState {
     /// Checkpoint `algo`'s persistent store (a no-op without one, or when
-    /// nothing is dirty). Called before replies are sent, so any answered
-    /// request is already durable — `kill -9` after a response restarts
-    /// warm.
+    /// nothing is dirty): append what the batch wrote, or compact. Called
+    /// before replies are sent, so any answered request is already
+    /// durable — `kill -9` after a response restarts warm.
     fn checkpoint(&self, algo: &str) {
         if let Ok(session) = self.session_for(algo) {
             if let Err(e) = session.checkpoint() {
